@@ -29,7 +29,7 @@ def main():
 
     print()
     print("Closed kind (ordinary domination):")
-    closed = tree_domination(t, "closed", cross_check=True)
+    closed = tree_domination(t, "closed")
     show(closed)
     gamma = exact(t, "min-dominating").value
     alpha2 = exact(t, "max-2-packing").value
@@ -38,7 +38,7 @@ def main():
 
     print()
     print("Open kind (total domination):")
-    open_cert = tree_domination(t, "open", cross_check=True)
+    open_cert = tree_domination(t, "open")
     show(open_cert)
     gamma_t = exact(t, "min-total-dominating").value
     print(f"  brute force    : minimum total dominating = {gamma_t}")

@@ -5,8 +5,10 @@ Peeling and the greedy cover both repeatedly ask for the vertex whose
 degree (plain or strong) is minimal in the current restriction, then delete
 vertices.  Recomputing the restriction from scratch after every deletion is
 quadratic; this index maintains the distinct-trace family, maximality
-flags, and per-vertex degrees across deletions instead, at amortized cost
-proportional to the total edge size.
+flags, and per-vertex degrees across deletions instead.  Deleting ``x``
+rebuilds every trace through ``x``: it costs the sum of |t| over those
+traces plus a dominance scan per shrunk trace, which on dense inputs such
+as ``gap_family`` is about the whole input per deletion.
 
 The transition rules rely on three facts about deleting one vertex ``x``:
 

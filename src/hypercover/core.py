@@ -8,7 +8,7 @@ VC dimension all live here.
 
 External text form (``.hg``)::
 
-    # comment
+    c comment (a line starting with ``#`` is one too)
     p hg <n> <m>
     e <v1> <v2> ... <vk>
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Union
 
 from .errors import (
@@ -125,6 +125,12 @@ class Hypergraph:
             for v in edge:
                 table[v].append(i)
         return tuple(tuple(row) for row in table)
+
+    @cached_property
+    def _incidence_classes(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Distinct incidence rows with their generating vertices: the dual's
+        edges, and what maps a dual edge back to a vertex."""
+        return _merge_generated(self.incidence)
 
     @cached_property
     def _maximal_ids(self) -> tuple[int, ...]:
@@ -264,6 +270,33 @@ def strong_remove(h: Hypergraph, removed: Iterable[int]) -> SubHypergraph | None
     return restrict(h, survivors)
 
 
+def _reject_isolated(h: Hypergraph) -> None:
+    """Raise for the smallest vertex in no edge.  Reads only the edges, and
+    the smallest missing vertex is at most the number seen, so the cost is
+    O(sum of edge sizes) however large ``n`` is."""
+    seen = set(chain.from_iterable(h.edges))
+    if len(seen) < h.n:
+        v = next(v for v in range(h.n) if v not in seen)
+        raise IsolatedVertexError(f"vertex {v} lies in no edge")
+
+
+def _merge_generated(rows: Iterable[tuple[int, ...]]) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Merge the edges generated by vertices ``0, 1, ...`` (``rows[v]`` is the
+    ascending edge of generator ``v``): identical rows become one edge.
+
+    Edge ids follow first-generator order.  Returns the edges and, per edge,
+    its generators in ascending order.
+    """
+    edge_id: dict[tuple[int, ...], int] = {}
+    generators: list[list[int]] = []
+    for v, row in enumerate(rows):
+        i = edge_id.setdefault(row, len(generators))
+        if i == len(generators):
+            generators.append([])
+        generators[i].append(v)
+    return tuple(edge_id), tuple(map(tuple, generators))
+
+
 def dual(h: Hypergraph) -> Hypergraph:
     """Swap the roles of vertices and edges.
 
@@ -275,22 +308,10 @@ def dual(h: Hypergraph) -> Hypergraph:
         IsolatedVertexError: some vertex lies in no edge, which would
             produce an empty dual edge.
     """
-    for v, row in enumerate(h.incidence):
-        if not row:
-            raise IsolatedVertexError(f"vertex {v} lies in no edge")
-    seen: dict[frozenset[int], int] = {}
-    edges: list[tuple[int, ...]] = []
-    generators: list[list[int]] = []
-    for v, row in enumerate(h.incidence):
-        key = frozenset(row)
-        if key in seen:
-            generators[seen[key]].append(v)
-        else:
-            seen[key] = len(edges)
-            edges.append(tuple(row))
-            generators.append([v])
+    _reject_isolated(h)
+    edges, generators = h._incidence_classes
     labels = tuple(",".join(f"v{v + 1}" for v in gen) for gen in generators)
-    return Hypergraph(h.m, tuple(edges), labels)
+    return Hypergraph(h.m, edges, labels)
 
 
 CHECK_KINDS = ("edge-cover", "independent-set", "transversal", "matching")
@@ -402,6 +423,15 @@ def vc_dimension(h: HypergraphLike, max_vertices: int = VC_DEFAULT_CAP) -> tuple
     raise AssertionError("unreachable: the empty set is shattered whenever edges exist")
 
 
+def _data_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """Line number and tokens of every line that is neither blank nor a
+    comment (``#...`` or a DIMACS ``c`` line)."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if tokens and tokens[0] != "c" and tokens[0][0] != "#":
+            yield lineno, tokens
+
+
 def parse_hypergraph(text: str, strict: bool = True) -> Hypergraph:
     """Read the ``.hg`` text format.
 
@@ -414,11 +444,7 @@ def parse_hypergraph(text: str, strict: bool = True) -> Hypergraph:
     """
     header: tuple[int, int] | None = None
     edges: list[tuple[int, ...]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
+    for lineno, tokens in _data_lines(text):
         if header is None:
             if tokens[0] != "p":
                 raise FormatError(f"line {lineno}: expected header 'p hg <n> <m>'")

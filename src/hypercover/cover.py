@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._trace_index import TraceIndex
-from .core import Hypergraph, check, dual
+from .core import Hypergraph, _reject_isolated, check, dual
 from .degeneracy import MIGHTY_BF_CAP, mighty_degeneracy_bf, strong_degeneracy
-from .errors import IsolatedVertexError
+from .errors import CertificateError
 
 
 @dataclass(frozen=True)
@@ -70,28 +70,18 @@ class TransversalCertificate:
     checks: TransversalChecks
 
 
-def _require_no_isolated(h: Hypergraph) -> None:
-    for v, row in enumerate(h.incidence):
-        if not row:
-            raise IsolatedVertexError(f"vertex {v} lies in no edge, so no cover exists")
-
-
-def greedy_cover(
-    h: Hypergraph,
-    strong_value: int | None = None,
-    mighty: bool = False,
-) -> CoverCertificate:
+def greedy_cover(h: Hypergraph, mighty: bool = False) -> CoverCertificate:
     """Run the strong-degree greedy and return a self-checked certificate.
 
-    ``strong_value`` may pass in an already computed strong degeneracy to
-    avoid a second peeling pass on large inputs.  With ``mighty=True`` the
-    brute-force mighty value is attached when the instance is small enough.
+    With ``mighty=True`` the brute-force mighty value is attached when the
+    instance is small enough.
 
     Raises:
         IsolatedVertexError: some vertex lies in no edge.
+        CertificateError: the run failed its own checks.
     """
-    _require_no_isolated(h)
-    bound = strong_degeneracy(h).value if strong_value is None else strong_value
+    _reject_isolated(h)
+    bound = strong_degeneracy(h).value
     mighty_value = mighty_degeneracy_bf(h) if mighty and h.n <= MIGHTY_BF_CAP else None
 
     index = TraceIndex(h, strong=True)
@@ -100,11 +90,11 @@ def greedy_cover(
     per_step: list[int] = []
     while (entry := index.pop_min()) is not None:
         d, x = entry
+        pairs = index.maximal_traces_at(x)
         # No live vertex can be edgeless: isolated vertices are rejected up
         # front and strong removal takes whole edges at a time.
-        assert d >= 1, f"vertex {x} became edgeless mid-run"
-        pairs = index.maximal_traces_at(x)
-        assert len(pairs) == d
+        if d < 1 or len(pairs) != d:
+            raise CertificateError(f"vertex {x} has strong degree {d} but {len(pairs)} maximal traces")
         chosen.append(x)
         per_step.append(d)
         victims: set[int] = {x}
@@ -114,7 +104,8 @@ def greedy_cover(
         for v in sorted(victims):
             index.delete_vertex(v)
 
-    assert len(set(cover_ids)) == len(cover_ids), "an edge was selected twice"
+    if len(set(cover_ids)) != len(cover_ids):
+        raise CertificateError("an edge was selected twice")
     cover = tuple(sorted(cover_ids))
     independent = tuple(chosen)
     total = sum(per_step)
@@ -126,7 +117,8 @@ def greedy_cover(
         independent_valid=check(h, "independent-set", independent),
         inequality_holds=inequality,
     )
-    assert checks.cover_valid and checks.independent_valid and checks.inequality_holds
+    if not (checks.cover_valid and checks.independent_valid and checks.inequality_holds):
+        raise CertificateError(f"greedy cover failed its self-check: {checks}")
     return CoverCertificate(cover, independent, tuple(per_step), bound, mighty_value, checks)
 
 
@@ -137,24 +129,19 @@ def greedy_transversal(h: Hypergraph) -> TransversalCertificate:
     Raises:
         IsolatedVertexError: some vertex lies in no edge (the dual would
             need an empty edge).
+        CertificateError: the run failed its own checks.
     """
-    d = dual(h)
-    cert = greedy_cover(d)
-    # A dual edge is the incidence set of its generating vertices; map each
-    # chosen dual edge back to its smallest generator.
-    smallest: dict[frozenset[int], int] = {}
-    for v in range(h.n):
-        key = frozenset(h.incidence[v])
-        if key not in smallest:
-            smallest[key] = v
-    transversal = tuple(sorted(smallest[d.edge_sets[i]] for i in cert.cover))
-    matching = cert.independent
-    total = sum(cert.per_step_edges)
-    inequality = len(transversal) <= total <= cert.bound_factor * len(matching) if matching else len(transversal) == 0
+    cert = greedy_cover(dual(h))
+    # Each chosen dual edge maps back to its smallest generator.  These
+    # ascend with the dual edge id, so the transversal stays sorted, and the
+    # map is one-to-one, so the dual run's inequality is this run's too.
+    generators = h._incidence_classes[1]
+    transversal = tuple(generators[i][0] for i in cert.cover)
     checks = TransversalChecks(
         transversal_valid=check(h, "transversal", transversal),
-        matching_valid=check(h, "matching", matching),
-        inequality_holds=inequality,
+        matching_valid=check(h, "matching", cert.independent),
+        inequality_holds=cert.checks.inequality_holds,
     )
-    assert checks.transversal_valid and checks.matching_valid and checks.inequality_holds
-    return TransversalCertificate(transversal, matching, cert.per_step_edges, cert.bound_factor, checks)
+    if not (checks.transversal_valid and checks.matching_valid and checks.inequality_holds):
+        raise CertificateError(f"greedy transversal failed its self-check: {checks}")
+    return TransversalCertificate(transversal, cert.independent, cert.per_step_edges, cert.bound_factor, checks)

@@ -75,6 +75,12 @@ class InfeasibleError(HypercoverError):
     code = "Infeasible"
 
 
+class CertificateError(HypercoverError):
+    """A solver's self-check rejected its own certificate or witness."""
+
+    code = "CertificateFailed"
+
+
 class NotATreeError(HypercoverError):
     """The graph handed to the tree solver is not a tree."""
 

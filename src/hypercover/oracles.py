@@ -16,7 +16,7 @@ from typing import Callable, Union
 
 from .core import Hypergraph, check
 from .domination import Graph, check_graph
-from .errors import InfeasibleError, ParameterError, TooLargeError
+from .errors import CertificateError, InfeasibleError, ParameterError, TooLargeError
 
 HYPERGRAPH_PROBLEMS = ("min-edge-cover", "max-independent-set", "min-transversal", "max-matching")
 GRAPH_PROBLEMS = ("min-dominating", "min-total-dominating", "max-2-packing", "max-open-2-packing")
@@ -50,6 +50,22 @@ def _search(
     return None
 
 
+def _certified(
+    problem: str,
+    found: tuple[int, tuple[int, ...], int] | None,
+    checker: Callable[..., bool],
+    instance: Union[Hypergraph, Graph],
+    kind: str,
+) -> ExactResult:
+    """Re-validate the search's witness with ``checker(instance, kind, ...)``."""
+    # Every supported problem is feasible once the callers' infeasibility
+    # checks pass, so an empty search is as much a failure as a bad witness.
+    if found is None or not checker(instance, kind, found[1]):
+        raise CertificateError(f"{problem}: the search produced no valid witness")
+    value, witness, explored = found
+    return ExactResult(problem, value, witness, explored)
+
+
 def exact(instance: Union[Hypergraph, Graph], problem: str) -> ExactResult:
     """Optimal value and witness for one of the supported problems.
 
@@ -62,6 +78,7 @@ def exact(instance: Union[Hypergraph, Graph], problem: str) -> ExactResult:
         InfeasibleError: no solution of any size exists (an edge cover with
             an isolated vertex, or total domination with one).
         ParameterError: unknown problem or mismatched instance type.
+        CertificateError: the search returned no valid witness.
     """
     if problem in HYPERGRAPH_PROBLEMS:
         if not isinstance(instance, Hypergraph):
@@ -92,20 +109,14 @@ def _exact_hypergraph(h: Hypergraph, problem: str) -> ExactResult:
                 acc |= edge_masks[i]
             return acc == full
 
-        found = _search(h.m, True, covers)
-        assert found is not None
-        value, witness, explored = found
-        assert check(h, "edge-cover", witness)
+        return _certified(problem, _search(h.m, True, covers), check, h, "edge-cover")
     elif problem == "min-transversal":
 
         def transverses(candidate: tuple[int, ...]) -> bool:
             smask = sum(1 << v for v in candidate)
             return all(mask & smask for mask in edge_masks)
 
-        found = _search(h.n, True, transverses)
-        assert found is not None
-        value, witness, explored = found
-        assert check(h, "transversal", witness)
+        return _certified(problem, _search(h.n, True, transverses), check, h, "transversal")
     elif problem == "max-independent-set":
         conflict = [0] * h.n
         for mask in edge_masks:
@@ -119,10 +130,7 @@ def _exact_hypergraph(h: Hypergraph, problem: str) -> ExactResult:
             smask = sum(1 << v for v in candidate)
             return all(conflict[v] & smask == 0 for v in candidate)
 
-        found = _search(h.n, False, independent)
-        assert found is not None
-        value, witness, explored = found
-        assert check(h, "independent-set", witness)
+        return _certified(problem, _search(h.n, False, independent), check, h, "independent-set")
     else:
 
         def disjoint(candidate: tuple[int, ...]) -> bool:
@@ -133,11 +141,7 @@ def _exact_hypergraph(h: Hypergraph, problem: str) -> ExactResult:
                 acc |= edge_masks[i]
             return True
 
-        found = _search(h.m, False, disjoint)
-        assert found is not None
-        value, witness, explored = found
-        assert check(h, "matching", witness)
-    return ExactResult(problem, value, witness, explored)
+        return _certified(problem, _search(h.m, False, disjoint), check, h, "matching")
 
 
 def _exact_graph(g: Graph, problem: str) -> ExactResult:
@@ -162,10 +166,8 @@ def _exact_graph(g: Graph, problem: str) -> ExactResult:
                 acc |= hood_masks[v]
             return acc == full
 
-        found = _search(g.n, True, dominates)
-        assert found is not None
-        value, witness, explored = found
-        assert check_graph(g, "dominating" if closed else "total-dominating", witness)
+        kind = "dominating" if closed else "total-dominating"
+        return _certified(problem, _search(g.n, True, dominates), check_graph, g, kind)
     else:
 
         def packs(candidate: tuple[int, ...]) -> bool:
@@ -176,8 +178,5 @@ def _exact_graph(g: Graph, problem: str) -> ExactResult:
                 acc |= hood_masks[v]
             return True
 
-        found = _search(g.n, False, packs)
-        assert found is not None
-        value, witness, explored = found
-        assert check_graph(g, "2-packing" if closed else "open-2-packing", witness)
-    return ExactResult(problem, value, witness, explored)
+        kind = "2-packing" if closed else "open-2-packing"
+        return _certified(problem, _search(g.n, False, packs), check_graph, g, kind)

@@ -13,7 +13,6 @@ from hypercover import (
     greedy_transversal,
     neighborhood_hypergraph,
     path_graph,
-    strong_degeneracy,
 )
 from hypercover.errors import IsolatedVertexError
 
@@ -50,12 +49,6 @@ class TestGreedyCover:
 
     def test_mighty_skipped_by_default(self):
         assert greedy_cover(gap_family(5)).mighty_factor is None
-
-    def test_precomputed_strong_value_changes_nothing(self):
-        h = gap_family(6)
-        base = greedy_cover(h)
-        again = greedy_cover(h, strong_value=strong_degeneracy(h).value)
-        assert again == base
 
     @given(covering_hypergraphs())
     def test_certificate_invariants(self, h):

@@ -16,6 +16,7 @@ from hypercover import (
     cycle_graph,
     exact,
     format_graph,
+    greedy_cover,
     neighborhood_equivalence_audit,
     neighborhood_hypergraph,
     parse_graph,
@@ -36,6 +37,18 @@ from hypercover.errors import (
 )
 
 from conftest import graphs, trees
+
+
+def assert_generic_agrees(t, kind, cert):
+    """The tree solver's certificate is the generic greedy's on the
+    neighborhood hypergraph: the same packing in the same order, and the
+    dominators are the cover edges' smallest generators (the first name in
+    each edge label)."""
+    h = neighborhood_hypergraph(t, kind)
+    generic = greedy_cover(h)
+    assert cert.packing == generic.independent
+    smallest = sorted(int(h.edge_labels[i].split(",")[0][3:-1]) - 1 for i in generic.cover)
+    assert sorted(cert.dominating) == smallest
 
 
 class TestGraph:
@@ -165,13 +178,15 @@ class TestCheckGraph:
 
 class TestTreeDomination:
     def test_path4_closed(self):
-        cert = tree_domination(path_graph(4), cross_check=True)
+        cert = tree_domination(path_graph(4))
+        assert_generic_agrees(path_graph(4), "closed", cert)
         assert cert.dominating == (1, 2)
         assert cert.packing == (0, 3)
         assert cert.equal
 
     def test_path4_open(self):
-        cert = tree_domination(path_graph(4), kind="open", cross_check=True)
+        cert = tree_domination(path_graph(4), kind="open")
+        assert_generic_agrees(path_graph(4), "open", cert)
         assert cert.dominating == (1, 2)
         assert cert.packing == (0, 1)
 
@@ -192,6 +207,7 @@ class TestTreeDomination:
 
     def test_single_vertex(self):
         cert = tree_domination(path_graph(1))
+        assert_generic_agrees(path_graph(1), "closed", cert)
         assert cert.dominating == (0,)
         assert cert.packing == (0,)
 
@@ -212,7 +228,8 @@ class TestTreeDomination:
     @given(trees())
     @settings(max_examples=60)
     def test_closed_certificates(self, t):
-        cert = tree_domination(t, cross_check=True)
+        cert = tree_domination(t)
+        assert_generic_agrees(t, "closed", cert)
         assert check_graph(t, "dominating", cert.dominating)
         assert check_graph(t, "2-packing", cert.packing)
         assert len(cert.dominating) == len(cert.packing)
@@ -221,7 +238,8 @@ class TestTreeDomination:
     @given(trees(min_n=2))
     @settings(max_examples=60)
     def test_open_certificates(self, t):
-        cert = tree_domination(t, kind="open", cross_check=True)
+        cert = tree_domination(t, kind="open")
+        assert_generic_agrees(t, "open", cert)
         assert check_graph(t, "total-dominating", cert.dominating)
         assert check_graph(t, "open-2-packing", cert.packing)
         assert len(cert.dominating) == len(cert.packing)
