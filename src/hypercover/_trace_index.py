@@ -5,81 +5,145 @@ Peeling and the greedy cover both repeatedly ask for the vertex whose
 degree (plain or strong) is minimal in the current restriction, then delete
 vertices.  Recomputing the restriction from scratch after every deletion is
 quadratic; this index maintains the distinct-trace family, maximality
-flags, and per-vertex degrees across deletions instead.  Deleting ``x``
-rebuilds every trace through ``x``: it costs the sum of |t| over those
-traces plus a dominance scan per shrunk trace, which on dense inputs such
-as ``gap_family`` is about the whole input per deletion.
+flags, and per-vertex degrees across deletions instead.
+
+Each trace has a stable integer id (at build time, the id of the edge that
+generates it) holding a mutable member set, its representative (smallest
+generating edge id), a maximality flag, and a 64-bit XOR of per-vertex
+random keys (Zobrist hashing).  Deleting ``x`` shrinks every trace through
+``x`` in place: discarding ``x`` and XOR-ing its key out are O(1) and the id
+stays, so no other vertex's incidence set changes.  A hash -> id table,
+confirmed by an exact member-set compare, finds the traces that became
+equal to a survivor.  A deletion therefore costs O(#traces through x), plus
+|t| per merged trace, plus one dominance scan per re-checked trace.
 
 The transition rules rely on three facts about deleting one vertex ``x``:
 
 * every trace through ``x`` shrinks by exactly ``x`` and the shrunken
-  traces of distinct traces stay distinct, so a dedup merge can only pair a
+  traces of distinct traces stay distinct, so a merge can only pair a
   shrunken trace with a surviving trace it strictly contained before (that
   survivor was therefore not maximal);
 * containments between traces never break under deletion, so a trace that
-  neither shrank nor merged keeps its maximality status;
-* a shrunken trace can newly fall under other traces, so only shrunken or
-  merged traces need their status recomputed.
+  neither shrank nor merged keeps its maximality status, and so does a
+  non-maximal trace through ``x`` (``t < u`` puts ``x`` in ``u``, so
+  ``t - x < u - x``);
+* only a maximal trace that shrank without merging, or the survivor of a
+  merge with a maximal trace, can change status, so only those are
+  re-checked.
 """
 
 from __future__ import annotations
 
+import random
 from heapq import heappop, heappush
 
 from .core import Hypergraph
+
+
+# One key table per process, shared by every index and only ever extended:
+# seeding a generator per build costs about as much as a whole build of a
+# small input.  Any keys give correct results, because a hash hit is always
+# confirmed by comparing member sets; fixed keys keep the cost repeatable.
+_KEYS: list[int] = []
+_KEY_SOURCE = random.Random(0x5EED)
+
+
+def _zobrist_keys(n: int) -> list[int]:
+    """At least ``n`` 64-bit keys, one per vertex id; key ``i`` is the
+    ``i``-th draw of a fixed-seed generator."""
+    if len(_KEYS) < n:
+        _KEYS.extend(_KEY_SOURCE.getrandbits(64) for _ in range(n - len(_KEYS)))
+    return _KEYS
 
 
 class TraceIndex:
     """Mutable view of the distinct traces of ``h`` on a shrinking vertex set.
 
     With ``strong=True`` the tracked degree of a vertex is the number of
-    maximal traces containing it; otherwise the number of distinct traces.
+    maximal traces containing it; otherwise the number of distinct traces,
+    and maximality is not tracked.
     """
 
     def __init__(self, h: Hypergraph, strong: bool = True):
         self.strong = strong
         self.alive = [True] * h.n
-        self.live_count = h.n
-        # trace -> [smallest generating edge id, is_maximal]
-        self.records: dict[frozenset[int], list] = {}
-        self.vertex_traces: dict[int, set[frozenset[int]]] = {v: set() for v in range(h.n)}
-        for i, eset in enumerate(h.edge_sets):
-            self.records[eset] = [i, False]
-            for v in eset:
-                self.vertex_traces[v].add(eset)
-        for t in self.records:
-            if not self._dominated(t):
-                self.records[t][1] = True
-        self.deg = [0] * h.n
-        for v in range(h.n):
-            self.deg[v] = self._recount(v)
-        self._heap: list[tuple[int, int]] = [(self.deg[v], v) for v in range(h.n)]
+        keys = self._keys = _zobrist_keys(h.n)
+        # Per trace id; a dead id has members None.  Base edges are distinct,
+        # so edge i starts as trace i.
+        self._members: list[set[int] | None] = [set(e) for e in h.edges]
+        self._rep = list(range(h.m))
+        self._hash: list[int] = []
+        # Hash chains: _by_hash[code] heads the ids with that hash, _next
+        # links them (-1 ends a chain).
+        self._by_hash: dict[int, int] = {}
+        self._next: list[int] = []
+        self._vertex_traces: list[set[int]] = [set() for _ in range(h.n)]
+        vertex_traces = self._vertex_traces
+        by_hash = self._by_hash
+        for t, edge in enumerate(h.edges):
+            code = 0
+            for v in edge:
+                vertex_traces[v].add(t)
+                code ^= keys[v]
+            self._hash.append(code)
+            self._next.append(by_hash.get(code, -1))
+            by_hash[code] = t
+        if strong:
+            self._maximal = [not self._dominated(t) for t in range(h.m)]
+            maximal = self._maximal
+            self.deg = [sum(map(maximal.__getitem__, row)) for row in vertex_traces]
+        else:
+            self._maximal = [False] * h.m
+            self.deg = [len(row) for row in vertex_traces]
+        self._heap: list[tuple[int, int]] = [(d, v) for v, d in enumerate(self.deg)]
         self._heap.sort()
 
-    def _recount(self, v: int) -> int:
-        if self.strong:
-            records = self.records
-            return sum(1 for t in self.vertex_traces[v] if records[t][1])
-        return len(self.vertex_traces[v])
-
-    def _dominated(self, t: frozenset[int]) -> bool:
-        # Scan the incidence list of the member lying in the fewest traces;
-        # any trace above t passes through every member of t.
-        vt = self.vertex_traces
-        pivot = -1
+    def _dominated(self, t: int) -> bool:
+        # Scan the incidence set of the member lying in the fewest traces;
+        # any trace above t passes through every member of t, so a member
+        # in t alone settles it.  A set's ``<`` fails in O(1) unless the
+        # right side is larger.
+        vertex_traces = self._vertex_traces
+        s = self._members[t]
+        pivot: set[int] = set()
         fewest = -1
-        for v in t:
-            ln = len(vt[v])
+        for v in s:
+            row = vertex_traces[v]
+            ln = len(row)
             if ln == 1:
                 return False
             if fewest < 0 or ln < fewest:
                 fewest = ln
-                pivot = v
-        size = len(t)
-        for u in vt[pivot]:
-            if len(u) > size and t < u:
+                pivot = row
+        members = self._members
+        for u in pivot:
+            if s < members[u]:
                 return True
         return False
+
+    def _unlink(self, t: int) -> None:
+        """Remove ``t`` from the chain of its current hash."""
+        code = self._hash[t]
+        nxt = self._next
+        head = self._by_hash[code]
+        if head == t:
+            if nxt[t] < 0:
+                del self._by_hash[code]
+            else:
+                self._by_hash[code] = nxt[t]
+            return
+        while nxt[head] != t:
+            head = nxt[head]
+        nxt[head] = nxt[t]
+
+    def traces(self) -> dict[frozenset[int], tuple[int, bool]]:
+        """Snapshot of the live traces: members -> (representative, is_maximal).
+        The flag is meaningful only with ``strong=True``."""
+        return {
+            frozenset(s): (self._rep[t], self._maximal[t])
+            for t, s in enumerate(self._members)
+            if s is not None
+        }
 
     def pop_min(self) -> tuple[int, int] | None:
         """Smallest (degree, vertex) pair among live vertices, or ``None``."""
@@ -92,9 +156,11 @@ class TraceIndex:
 
     def maximal_traces_at(self, v: int) -> list[tuple[int, frozenset[int]]]:
         """(representative edge id, trace) pairs of the maximal traces through
-        ``v``, ordered by representative."""
-        records = self.records
-        out = [(records[t][0], t) for t in self.vertex_traces[v] if records[t][1]]
+        ``v``, ordered by representative (strong index only)."""
+        members = self._members
+        rep = self._rep
+        maximal = self._maximal
+        out = [(rep[t], frozenset(members[t])) for t in self._vertex_traces[v] if maximal[t]]
         out.sort()
         return out
 
@@ -103,54 +169,67 @@ class TraceIndex:
         if not self.alive[x]:
             raise ValueError(f"vertex {x} already deleted")
         self.alive[x] = False
-        self.live_count -= 1
-        records = self.records
-        vertex_traces = self.vertex_traces
+        members = self._members
+        hashes = self._hash
+        by_hash = self._by_hash
+        nxt = self._next
+        rep = self._rep
+        maximal = self._maximal
+        vertex_traces = self._vertex_traces
+        key = self._keys[x]
+        affected = vertex_traces[x]
+        vertex_traces[x] = set()
+
+        # Shrink in place first, so the lookups below never meet a trace
+        # through x under its old hash.
+        shrunk: list[int] = []
+        for t in affected:
+            self._unlink(t)
+            s = members[t]
+            s.discard(x)
+            if s:
+                hashes[t] ^= key
+                shrunk.append(t)
+            else:
+                members[t] = None
+
+        delta: dict[int, int] = {}
+        recheck: list[int] = []
+        for t in shrunk:
+            s = members[t]
+            code = hashes[t]
+            u = by_hash.get(code, -1)
+            while u >= 0 and members[u] != s:
+                u = nxt[u]
+            if u < 0:
+                nxt[t] = by_hash.get(code, -1)
+                by_hash[code] = t
+                if maximal[t]:
+                    recheck.append(t)
+                continue
+            # Merge t into the survivor u, which was strictly inside t.
+            members[t] = None
+            if rep[t] < rep[u]:
+                rep[u] = rep[t]
+            counted = maximal[t] or not self.strong
+            for v in s:
+                vertex_traces[v].discard(t)
+                if counted:
+                    delta[v] = delta.get(v, 0) - 1
+            if maximal[t]:
+                maximal[t] = False
+                recheck.append(u)
+
+        for t in recheck:
+            now = not self._dominated(t)
+            if now != maximal[t]:
+                maximal[t] = now
+                step = 1 if now else -1
+                for v in members[t]:
+                    delta[v] = delta.get(v, 0) + step
+
         deg = self.deg
         heap = self._heap
-        strong = self.strong
-        affected = vertex_traces.pop(x)
-
-        # Most shrinks preserve maximality, so the decrement for losing t and
-        # the increment for gaining t - {x} cancel.  Accumulate net deltas and
-        # touch the heap only for vertices whose degree actually moved.
-        delta: dict[int, int] = {}
-        pending: list[tuple[frozenset[int], int]] = []
-        for t in affected:
-            rep, was_max = records.pop(t)
-            counted = was_max or not strong
-            for v in t:
-                if v != x:
-                    vertex_traces[v].discard(t)
-                    if counted:
-                        delta[v] = delta.get(v, 0) - 1
-            nt = t - {x}
-            if nt:
-                pending.append((nt, rep))
-
-        refresh: list[frozenset[int]] = []
-        for nt, rep in pending:
-            existing = records.get(nt)
-            if existing is None:
-                records[nt] = [rep, False]
-                for v in nt:
-                    vertex_traces[v].add(nt)
-                    if not strong:
-                        delta[v] = delta.get(v, 0) + 1
-            else:
-                # Merge: the survivor was strictly inside t, hence not maximal.
-                if rep < existing[0]:
-                    existing[0] = rep
-            if strong:
-                refresh.append(nt)
-
-        for nt in refresh:
-            rec = records[nt]
-            if not rec[1] and not self._dominated(nt):
-                rec[1] = True
-                for v in nt:
-                    delta[v] = delta.get(v, 0) + 1
-
         for v, dv in delta.items():
             if dv:
                 deg[v] += dv

@@ -4,7 +4,8 @@ One subcommand per capability, composable through pipes: generators write
 ``.hg``/``.gr`` text to stdout and every analysis command reads a file or
 ``-`` for stdin.  Results go to stdout (JSON under ``--json``), diagnostics
 to stderr.  Exit codes: 0 on success, 1 on domain errors (reported by their
-error name), 2 on usage errors.  All ids are 1-based on this surface.
+error name), 2 on usage errors.  All ids are 1-based on this surface, those
+named in error messages included.
 """
 
 from __future__ import annotations
@@ -28,15 +29,17 @@ from .degeneracy import degeneracy, mighty_degeneracy_bf, strong_degeneracy, str
 from .domination import (
     GRAPH_CHECK_KINDS,
     NEIGHBORHOOD_KINDS,
+    Graph,
+    _read_graph,
     check_graph,
     format_graph,
     neighborhood_equivalence_audit,
     parse_graph,
     tree_domination,
 )
-from .errors import HypercoverError, IdOutOfRangeError
+from .errors import HypercoverError, IdOutOfRangeError, NotATreeError
 from .generators import gap_family, random_hypergraph, random_tree
-from .oracles import GRAPH_PROBLEMS, PROBLEMS, exact
+from .oracles import GRAPH_PROBLEMS, PROBLEMS, _check_graph_cap, exact
 
 
 def _read_text(args: argparse.Namespace) -> str:
@@ -60,7 +63,7 @@ def _one_based(ids) -> list[int]:
 def _zero_based(ids: list[int]) -> list[int]:
     for i in ids:
         if i < 1:
-            raise IdOutOfRangeError(f"id {i} is not 1-based")
+            raise IdOutOfRangeError("id {} is not 1-based", i - 1)
     return [i - 1 for i in ids]
 
 
@@ -141,7 +144,13 @@ def _cmd_transversal(args: argparse.Namespace) -> int:
 
 
 def _cmd_dominate(args: argparse.Namespace) -> int:
-    cert = tree_domination(parse_graph(_read_text(args)), args.kind)
+    n, edges = _read_graph(_read_text(args))
+    # Fewer than n - 1 edges make no tree.  Rejecting them before the graph
+    # is built keeps a tiny header that declares a huge n from costing O(n);
+    # any other n is bounded by the number of edge lines.
+    if len(edges) < n - 1:
+        raise NotATreeError("input graph is not a tree")
+    cert = tree_domination(Graph.from_edges(n, edges), args.kind)
     payload = {
         "kind": cert.kind,
         "dominating": _one_based(cert.dominating),
@@ -157,7 +166,12 @@ def _cmd_dominate(args: argparse.Namespace) -> int:
 
 def _cmd_exact(args: argparse.Namespace) -> int:
     text = _read_text(args)
-    instance = parse_graph(text) if args.problem in GRAPH_PROBLEMS else parse_hypergraph(text, strict=args.strict)
+    if args.problem in GRAPH_PROBLEMS:
+        n, edges = _read_graph(text)
+        _check_graph_cap(n)
+        instance = Graph.from_edges(n, edges)
+    else:
+        instance = parse_hypergraph(text, strict=args.strict)
     result = exact(instance, args.problem)
     payload = {
         "problem": result.problem,
@@ -300,7 +314,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except HypercoverError as exc:
-        print(f"error: {exc.code}: {exc}", file=sys.stderr)
+        print(f"error: {exc.code}: {exc.render(1)}", file=sys.stderr)
         return 1
     except OSError as exc:
         name = getattr(exc, "filename", None) or "input"

@@ -277,7 +277,7 @@ def _reject_isolated(h: Hypergraph) -> None:
     seen = set(chain.from_iterable(h.edges))
     if len(seen) < h.n:
         v = next(v for v in range(h.n) if v not in seen)
-        raise IsolatedVertexError(f"vertex {v} lies in no edge")
+        raise IsolatedVertexError("vertex {} lies in no edge", v)
 
 
 def _merge_generated(rows: Iterable[tuple[int, ...]]) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -331,7 +331,7 @@ def check(h: HypergraphLike, kind: str, ids: Iterable[int]) -> bool:
     if kind in ("edge-cover", "matching"):
         for i in chosen:
             if not 0 <= i < len(sets):
-                raise IdOutOfRangeError(f"edge id {i} outside 0..{len(sets) - 1}")
+                raise IdOutOfRangeError("edge id {} outside {}..{}", i, 0, len(sets) - 1)
         if kind == "edge-cover":
             covered: set[int] = set()
             for i in chosen:
@@ -346,7 +346,7 @@ def check(h: HypergraphLike, kind: str, ids: Iterable[int]) -> bool:
     if kind in ("independent-set", "transversal"):
         for x in chosen:
             if x not in universe:
-                raise IdOutOfRangeError(f"vertex id {x} not in the hypergraph")
+                raise IdOutOfRangeError("vertex id {} not in the hypergraph", x)
         picked = frozenset(chosen)
         if kind == "independent-set":
             return all(len(e & picked) <= 1 for e in sets)

@@ -106,6 +106,14 @@ def parse_graph(text: str) -> Graph:
         FormatError: malformed header, line grammar, or a self-loop.
         VertexOutOfRangeError: an endpoint outside ``1..n``.
     """
+    return Graph.from_edges(*_read_graph(text))
+
+
+def _read_graph(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """The vertex count and 0-based edge list of a ``.gr`` text, checked as
+    :func:`parse_graph` documents.  Costs O(len(text)) whatever ``n`` the
+    header declares, so callers can reject a huge ``n`` before building the
+    one adjacency row per vertex that a :class:`Graph` holds."""
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
     for lineno, tokens in _data_lines(text):
@@ -136,7 +144,7 @@ def parse_graph(text: str) -> Graph:
         raise FormatError("missing header 'p edge <n> <m>'")
     if len(edges) != header[1]:
         raise FormatError(f"header announced {header[1]} edges but {len(edges)} appeared")
-    return Graph.from_edges(header[0], edges)
+    return header[0], edges
 
 
 def format_graph(g: Graph) -> str:
@@ -157,7 +165,7 @@ def _neighborhoods(g: Graph, kind: str) -> tuple[Hypergraph, tuple[tuple[int, ..
         raise ParameterError(f"unknown neighborhood kind {kind!r}")
     closed = kind == "closed"
     if not closed and () in g.adj:
-        raise IsolatedVertexForOpenError(f"vertex {g.adj.index(())} has no neighbors")
+        raise IsolatedVertexForOpenError("vertex {} has no neighbors", g.adj.index(()))
     rows = [tuple(sorted((v, *g.adj[v]))) for v in range(g.n)] if closed else g.adj
     edges, generators = _merge_generated(rows)
     name = "N[v{}]" if closed else "N(v{})"
@@ -187,7 +195,7 @@ def check_graph(g: Graph, kind: str, ids: Iterable[int]) -> bool:
     chosen = sorted(set(ids))
     for x in chosen:
         if not 0 <= x < g.n:
-            raise IdOutOfRangeError(f"vertex id {x} outside 0..{g.n - 1}")
+            raise IdOutOfRangeError("vertex id {} outside {}..{}", x, 0, g.n - 1)
     picked = set(chosen)
     if kind == "dominating":
         return all(v in picked or picked.intersection(g.adj[v]) for v in range(g.n))

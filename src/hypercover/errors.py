@@ -2,7 +2,9 @@
 
 Every exception carries a stable ``code`` string; the command line layer
 prints that code on standard error and exits with status 1, so the class
-names here are part of the external contract.
+names here are part of the external contract.  Errors that name vertex or
+edge ids keep those ids apart from the text, so the command line can state
+them 1-based while the API states them 0-based.
 """
 
 from __future__ import annotations
@@ -12,6 +14,30 @@ class HypercoverError(Exception):
     """Base class for all domain errors raised by this package."""
 
     code = "Error"
+
+    def render(self, base: int) -> str:
+        """The message with every vertex or edge id ``base``-based."""
+        return str(self)
+
+
+class _IdError(HypercoverError):
+    """An error naming ids, built from a ``str.format`` template and the
+    0-based ids that fill it; ``id`` is the offending one."""
+
+    def __init__(self, template: str, *ids: int):
+        super().__init__(template, *ids)
+        self.template = template
+        self.ids = ids
+
+    @property
+    def id(self) -> int:
+        return self.ids[0]
+
+    def render(self, base: int) -> str:
+        return self.template.format(*(i + base for i in self.ids))
+
+    def __str__(self) -> str:
+        return self.render(0)
 
 
 class FormatError(HypercoverError):
@@ -44,13 +70,13 @@ class EmptySubsetError(HypercoverError):
     code = "EmptySubset"
 
 
-class IdOutOfRangeError(HypercoverError):
+class IdOutOfRangeError(_IdError):
     """A vertex or edge id passed to a checker does not exist."""
 
     code = "IdOutOfRange"
 
 
-class IsolatedVertexError(HypercoverError):
+class IsolatedVertexError(_IdError):
     """A vertex lies in no edge, so the requested operation is undefined."""
 
     code = "IsolatedVertex"

@@ -144,9 +144,15 @@ def _exact_hypergraph(h: Hypergraph, problem: str) -> ExactResult:
         return _certified(problem, _search(h.m, False, disjoint), check, h, "matching")
 
 
+def _check_graph_cap(n: int) -> None:
+    """Raise when a graph on ``n`` vertices is beyond the exact solvers; the
+    command line calls this before it builds the graph."""
+    if n > GRAPH_CAP:
+        raise TooLargeError(f"{n} vertices exceed the cap of {GRAPH_CAP}")
+
+
 def _exact_graph(g: Graph, problem: str) -> ExactResult:
-    if g.n > GRAPH_CAP:
-        raise TooLargeError(f"{g.n} vertices exceed the cap of {GRAPH_CAP}")
+    _check_graph_cap(g.n)
     full = (1 << g.n) - 1
     closed = problem in ("min-dominating", "max-2-packing")
     hood_masks = []

@@ -174,6 +174,20 @@ class TestCommands:
         assert result.returncode == 1
         assert result.stderr.startswith("error: IdOutOfRange")
 
+    def test_bad_vertex_id_is_named_1_based(self):
+        result = run_cli("verify", "--kind", "transversal", "--ids", "9", stdin=GAP5)
+        assert result.returncode == 1
+        assert result.stderr == "error: IdOutOfRange: vertex id 9 not in the hypergraph\n"
+
+    def test_bad_edge_id_and_range_are_1_based(self):
+        result = run_cli("verify", "--kind", "matching", "--ids", "6", stdin=GAP5)
+        assert result.stderr == "error: IdOutOfRange: edge id 6 outside 1..5\n"
+
+    def test_isolated_vertex_is_named_1_based(self):
+        result = run_cli("cover", stdin="p hg 3 1\ne 1\n")
+        assert result.returncode == 1
+        assert result.stderr == "error: IsolatedVertex: vertex 2 lies in no edge\n"
+
     def test_dual_text(self):
         result = run_cli("dual", stdin=TWO_EDGES)
         assert result.returncode == 0

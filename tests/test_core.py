@@ -289,8 +289,10 @@ class TestDual:
         assert d.edge_labels == ("v1,v2", "v3", "v4")
 
     def test_isolated_vertex_rejected(self):
-        with pytest.raises(IsolatedVertexError):
+        with pytest.raises(IsolatedVertexError) as info:
             dual(Hypergraph.from_edges(3, [(0, 1)]))
+        assert info.value.id == 2
+        assert str(info.value) == "vertex 2 lies in no edge"
 
     @given(hypergraphs())
     def test_degree_swap(self, h):
@@ -342,8 +344,11 @@ class TestCheck:
     def test_bad_ids(self, h):
         with pytest.raises(IdOutOfRangeError):
             check(h, "edge-cover", [4])
-        with pytest.raises(IdOutOfRangeError):
+        with pytest.raises(IdOutOfRangeError) as info:
             check(h, "transversal", [7])
+        assert info.value.id == 7
+        assert str(info.value) == "vertex id 7 not in the hypergraph"
+        assert info.value.render(1) == "vertex id 8 not in the hypergraph"
 
     def test_works_on_restrictions(self, h):
         sub = restrict(h, [1, 2])

@@ -8,6 +8,8 @@ brute force.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from hypercover import (
     degeneracy,
     degree,
     gap_family,
+    greedy_cover,
     maximal_edges,
     mighty_degeneracy_bf,
     restrict,
@@ -24,11 +27,18 @@ from hypercover import (
     strong_degeneracy_bf,
     strong_degree,
 )
+from hypercover import _trace_index
 from hypercover._trace_index import TraceIndex
 from hypercover.degeneracy import EliminationOrder
 from hypercover.errors import TooLargeError
 
-from conftest import hypergraphs
+from conftest import covering_hypergraphs, hypergraphs
+
+
+def colliding_keys():
+    """Patch every Zobrist key to zero, so all traces share one hash and
+    only the exact member-set compare tells them apart."""
+    return mock.patch.object(_trace_index, "_zobrist_keys", lambda n: [0] * n)
 
 
 def plain_degeneracy_bf(h):
@@ -142,9 +152,7 @@ class TestTraceIndex:
             for i, (t, rep) in enumerate(zip(sub.traces, sub.representatives))
         }
 
-    @given(hypergraphs(), st.data())
-    def test_records_track_restrictions(self, h, data):
-        order = data.draw(st.permutations(range(h.n)))
+    def check_records(self, h, order):
         for strong in (True, False):
             index = TraceIndex(h, strong=strong)
             live = set(range(h.n))
@@ -152,13 +160,19 @@ class TestTraceIndex:
                 index.delete_vertex(x)
                 live.remove(x)
                 expected = self.snapshot(h, live)
-                if strong:
-                    got = {t: (rec[0], rec[1]) for t, rec in index.records.items()}
-                else:
-                    got = {
-                        t: (rec[0], expected[t][1]) for t, rec in index.records.items()
-                    }
+                got = index.traces()
+                if not strong:
+                    got = {t: (rep, expected[t][1]) for t, (rep, _) in got.items()}
                 assert got == expected
+
+    @given(hypergraphs(), st.data())
+    def test_records_track_restrictions(self, h, data):
+        self.check_records(h, data.draw(st.permutations(range(h.n))))
+
+    @given(hypergraphs(), st.data())
+    def test_records_track_restrictions_when_every_hash_collides(self, h, data):
+        with colliding_keys():
+            self.check_records(h, data.draw(st.permutations(range(h.n))))
 
     @given(hypergraphs(), st.data())
     def test_degrees_track_restrictions(self, h, data):
@@ -182,9 +196,44 @@ class TestTraceIndex:
         assert d == min(degrees)
         assert v == degrees.index(d)
 
+    def test_maximal_traces_at_hands_out_snapshots(self):
+        index = TraceIndex(gap_family(5), strong=True)
+        traces = [trace for _, trace in index.maximal_traces_at(1)]
+        copies = [set(t) for t in traces]
+        index.delete_vertex(4)
+        assert all(isinstance(t, frozenset) for t in traces)
+        assert traces == copies
+
     def test_maximal_traces_at_orders_by_representative(self):
         h = gap_family(5)
         index = TraceIndex(h, strong=True)
         pairs = index.maximal_traces_at(1)
         assert [rep for rep, _ in pairs] == sorted(rep for rep, _ in pairs)
         assert {rep for rep, _ in pairs} <= set(range(h.m))
+
+
+class TestHashCollisions:
+    """All-zero keys change no result, only the cost of finding merges."""
+
+    @staticmethod
+    def results(h, cover):
+        out = (strong_degeneracy(h), degeneracy(h))
+        return out + (greedy_cover(h),) if cover else out
+
+    @given(hypergraphs())
+    def test_peeling(self, h):
+        expected = self.results(h, cover=False)
+        with colliding_keys():
+            assert self.results(h, cover=False) == expected
+
+    @given(covering_hypergraphs())
+    def test_cover(self, h):
+        expected = self.results(h, cover=True)
+        with colliding_keys():
+            assert self.results(h, cover=True) == expected
+
+    def test_gap12(self):
+        g = gap_family(12)
+        expected = self.results(g, cover=True)
+        with colliding_keys():
+            assert self.results(g, cover=True) == expected

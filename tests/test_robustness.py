@@ -66,18 +66,39 @@ def test_certificate_checks_survive_python_O():
     assert proc.stderr.startswith("error: CertificateFailed: ")
 
 
+def _main_with_peak(argv: list[str]) -> tuple[int, int]:
+    """Exit code of ``cli.main(argv)`` and its peak traced allocation."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return code, peak
+
+
 @pytest.mark.parametrize("command", ["cover", "transversal", "dual"])
 def test_tiny_file_with_a_huge_vertex_count_fails_fast(tmp_path, capsys, command):
     path = tmp_path / "huge.hg"
     path.write_text("p hg 20000000 1\ne 1")
-    tracemalloc.start()
-    try:
-        code = main([command, str(path)])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    code, peak = _main_with_peak([command, str(path)])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: IsolatedVertex: vertex 1 ")
+    # 0-based vertex 1 is vertex 2 of the file.
+    assert capsys.readouterr().err.startswith("error: IsolatedVertex: vertex 2 ")
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("n", [200000, 20000000])
+@pytest.mark.parametrize(
+    "argv, error",
+    [(["dominate"], "NotATree"), (["exact", "--problem", "min-dominating"], "TooLarge")],
+)
+def test_tiny_graph_header_with_a_huge_vertex_count_fails_fast(tmp_path, capsys, n, argv, error):
+    path = tmp_path / "huge.gr"
+    path.write_text(f"p edge {n} 0")
+    code, peak = _main_with_peak([*argv, str(path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {error}: ")
     assert peak < 64 * 2**20
 
 
