@@ -20,7 +20,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain, combinations, groupby
 from typing import Iterable, Iterator, Union
 
 from .errors import (
@@ -60,7 +60,7 @@ class Hypergraph:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ParameterError("vertex count must be nonnegative")
-        seen: set[frozenset[int]] = set()
+        seen: set[tuple[int, ...]] = set()
         for edge in self.edges:
             if not edge:
                 raise EmptyEdgeError("edges must be nonempty")
@@ -68,46 +68,27 @@ class Hypergraph:
                 raise ParameterError(f"edge {edge!r} is not a sorted duplicate-free tuple")
             if edge[0] < 0 or edge[-1] >= self.n:
                 raise VertexOutOfRangeError(f"edge {edge!r} leaves vertex range 0..{self.n - 1}")
-            key = frozenset(edge)
-            if key in seen:
+            # A sorted tuple is the canonical form of its vertex set.
+            if edge in seen:
                 raise DuplicateEdgeError(f"edge {edge!r} occurs twice")
-            seen.add(key)
+            seen.add(edge)
         if self.edge_labels is not None and len(self.edge_labels) != len(self.edges):
             raise ParameterError("edge_labels must match the edge list in length")
 
     @classmethod
-    def from_edges(
-        cls,
-        n: int,
-        edges: Iterable[Iterable[int]],
-        labels: Iterable[str] | None = None,
-        strict: bool = True,
-    ) -> "Hypergraph":
+    def from_edges(cls, n: int, edges: Iterable[Iterable[int]], strict: bool = True) -> "Hypergraph":
         """Normalize ``edges`` (sorting each) and build a hypergraph.
 
         Duplicate edges raise :class:`DuplicateEdgeError` when ``strict``,
         otherwise later copies are dropped with a :class:`FormatWarning`.
         """
-        label_list = None if labels is None else list(labels)
-        out: list[tuple[int, ...]] = []
-        out_labels: list[str] = []
-        seen: dict[frozenset[int], int] = {}
-        dropped = 0
-        for pos, raw in enumerate(edges):
-            edge = _canonical_edge(set(raw))
-            key = frozenset(edge)
-            if key in seen:
-                if strict:
-                    raise DuplicateEdgeError(f"edge {edge!r} occurs twice")
-                dropped += 1
-                continue
-            seen[key] = len(out)
-            out.append(edge)
-            if label_list is not None:
-                out_labels.append(label_list[pos])
-        if dropped:
-            warnings.warn(f"merged {dropped} duplicate edge(s)", FormatWarning, stacklevel=2)
-        return cls(n, tuple(out), None if label_list is None else tuple(out_labels))
+        out = [_canonical_edge(set(raw)) for raw in edges]
+        if not strict:
+            unique = list(dict.fromkeys(out))
+            if len(unique) < len(out):
+                warnings.warn(f"merged {len(out) - len(unique)} duplicate edge(s)", FormatWarning, stacklevel=2)
+                out = unique
+        return cls(n, tuple(out))
 
     @property
     def m(self) -> int:
@@ -186,14 +167,15 @@ HypergraphLike = Union[Hypergraph, SubHypergraph]
 
 def _maximal_positions(edge_sets: tuple[frozenset[int], ...]) -> tuple[int, ...]:
     # Distinct sets: proper containment forces strictly smaller size, so each
-    # edge only needs comparing against strictly larger ones.
+    # edge only needs comparing against the maximal sets of larger size, the
+    # ones found before its size group in descending order.
     order = sorted(range(len(edge_sets)), key=lambda i: -len(edge_sets[i]))
     maximal: list[int] = []
-    for i in order:
-        e = edge_sets[i]
-        if any(len(edge_sets[j]) > len(e) and e < edge_sets[j] for j in maximal):
-            continue
-        maximal.append(i)
+    larger: list[frozenset[int]] = []
+    for _, group in groupby(order, key=lambda i: len(edge_sets[i])):
+        found = [i for i in group if not any(edge_sets[i] < s for s in larger)]
+        maximal += found
+        larger += (edge_sets[i] for i in found)
     return tuple(sorted(maximal))
 
 
@@ -432,6 +414,29 @@ def _data_lines(text: str) -> Iterator[tuple[int, list[str]]]:
             yield lineno, tokens
 
 
+def _read_header(lines: Iterator[tuple[int, list[str]]], tag: str) -> tuple[int, int]:
+    """The vertex and edge counts of the ``p <tag> <n> <m>`` line that must
+    open ``lines`` (from :func:`_data_lines`)."""
+    grammar = f"'p {tag} <n> <m>'"
+    lineno, tokens = next(lines, (0, []))
+    if not tokens:
+        raise FormatError(f"missing header {grammar}")
+    if len(tokens) != 4 or tokens[0] != "p" or tokens[1] != tag:
+        raise FormatError(f"line {lineno}: expected header {grammar}")
+    try:
+        n, m = int(tokens[2]), int(tokens[3])
+    except ValueError:
+        raise FormatError(f"line {lineno}: header counts must be integers") from None
+    if n < 0 or m < 0:
+        raise FormatError(f"line {lineno}: header counts must be nonnegative")
+    return n, m
+
+
+def _check_edge_count(announced: int, found: int) -> None:
+    if found != announced:
+        raise FormatError(f"header announced {announced} edges but {found} appeared")
+
+
 def parse_hypergraph(text: str, strict: bool = True) -> Hypergraph:
     """Read the ``.hg`` text format.
 
@@ -442,22 +447,10 @@ def parse_hypergraph(text: str, strict: bool = True) -> Hypergraph:
         DuplicateEdgeError: a repeated edge in strict mode; lenient mode
             merges repeats and emits a :class:`FormatWarning`.
     """
-    header: tuple[int, int] | None = None
+    lines = _data_lines(text)
+    n, m = _read_header(lines, "hg")
     edges: list[tuple[int, ...]] = []
-    for lineno, tokens in _data_lines(text):
-        if header is None:
-            if tokens[0] != "p":
-                raise FormatError(f"line {lineno}: expected header 'p hg <n> <m>'")
-            if len(tokens) != 4 or tokens[1] != "hg":
-                raise FormatError(f"line {lineno}: malformed header")
-            try:
-                n, m = int(tokens[2]), int(tokens[3])
-            except ValueError:
-                raise FormatError(f"line {lineno}: header counts must be integers") from None
-            if n < 0 or m < 0:
-                raise FormatError(f"line {lineno}: header counts must be nonnegative")
-            header = (n, m)
-            continue
+    for lineno, tokens in lines:
         if tokens[0] != "e":
             raise FormatError(f"line {lineno}: expected an 'e' line")
         if len(tokens) == 1:
@@ -467,16 +460,13 @@ def parse_hypergraph(text: str, strict: bool = True) -> Hypergraph:
         except ValueError:
             raise FormatError(f"line {lineno}: vertex ids must be integers") from None
         for v in ids:
-            if not 1 <= v <= header[0]:
-                raise VertexOutOfRangeError(f"line {lineno}: vertex {v} outside 1..{header[0]}")
+            if not 1 <= v <= n:
+                raise VertexOutOfRangeError(f"line {lineno}: vertex {v} outside 1..{n}")
         if len(set(ids)) != len(ids):
             warnings.warn(f"line {lineno}: repeated vertex inside an edge", FormatWarning, stacklevel=2)
         edges.append(tuple(v - 1 for v in ids))
-    if header is None:
-        raise FormatError("missing header 'p hg <n> <m>'")
-    if len(edges) != header[1]:
-        raise FormatError(f"header announced {header[1]} edges but {len(edges)} appeared")
-    return Hypergraph.from_edges(header[0], edges, strict=strict)
+    _check_edge_count(m, len(edges))
+    return Hypergraph.from_edges(n, edges, strict=strict)
 
 
 def format_hypergraph(h: Hypergraph) -> str:

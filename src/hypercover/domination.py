@@ -25,7 +25,7 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import Iterable
 
-from .core import Hypergraph, _data_lines, _merge_generated, check, strong_degree
+from .core import Hypergraph, _check_edge_count, _data_lines, _merge_generated, _read_header, check, maximal_edges
 from .errors import (
     CertificateError,
     FormatError,
@@ -114,20 +114,10 @@ def _read_graph(text: str) -> tuple[int, list[tuple[int, int]]]:
     :func:`parse_graph` documents.  Costs O(len(text)) whatever ``n`` the
     header declares, so callers can reject a huge ``n`` before building the
     one adjacency row per vertex that a :class:`Graph` holds."""
-    header: tuple[int, int] | None = None
+    lines = _data_lines(text)
+    n, m = _read_header(lines, "edge")
     edges: list[tuple[int, int]] = []
-    for lineno, tokens in _data_lines(text):
-        if header is None:
-            if tokens[0] != "p" or len(tokens) != 4 or tokens[1] != "edge":
-                raise FormatError(f"line {lineno}: expected header 'p edge <n> <m>'")
-            try:
-                n, m = int(tokens[2]), int(tokens[3])
-            except ValueError:
-                raise FormatError(f"line {lineno}: header counts must be integers") from None
-            if n < 0 or m < 0:
-                raise FormatError(f"line {lineno}: header counts must be nonnegative")
-            header = (n, m)
-            continue
+    for lineno, tokens in lines:
         if tokens[0] != "e" or len(tokens) != 3:
             raise FormatError(f"line {lineno}: expected 'e <u> <v>'")
         try:
@@ -135,16 +125,13 @@ def _read_graph(text: str) -> tuple[int, list[tuple[int, int]]]:
         except ValueError:
             raise FormatError(f"line {lineno}: endpoints must be integers") from None
         for w in (u, v):
-            if not 1 <= w <= header[0]:
-                raise VertexOutOfRangeError(f"line {lineno}: vertex {w} outside 1..{header[0]}")
+            if not 1 <= w <= n:
+                raise VertexOutOfRangeError(f"line {lineno}: vertex {w} outside 1..{n}")
         if u == v:
             raise FormatError(f"line {lineno}: self-loop at {u}")
         edges.append((u - 1, v - 1))
-    if header is None:
-        raise FormatError("missing header 'p edge <n> <m>'")
-    if len(edges) != header[1]:
-        raise FormatError(f"header announced {header[1]} edges but {len(edges)} appeared")
-    return header[0], edges
+    _check_edge_count(m, len(edges))
+    return n, edges
 
 
 def format_graph(g: Graph) -> str:
@@ -259,9 +246,9 @@ def tree_domination(g: Graph, kind: str = "closed") -> DominationCertificate:
     smallest-id generator becomes the dominator.  It yields the generic
     greedy's certificate (dominators are the cover edges' smallest
     generators) and stays for speed: ``greedy_cover(neighborhood_hypergraph(t))``
-    is 4.3x (closed) and 2.7x (open) slower on ``random_tree(5000, 42)``, and
-    31x and 22x on a 5000-vertex tree with 40 hubs (CPU time, best of 5,
-    CPython 3.11 on an Intel Xeon VM).
+    is 4.5-6x (closed) and 2.5-3.2x (open) slower on ``random_tree(5000, 42)``,
+    and 9-12x and 2.1-2.6x on a 5000-vertex tree with 40 hubs (CPU time, best
+    of 5 or 9 in three runs, CPython 3.11 on a 2-core Intel Xeon VM).
 
     Raises:
         NotATreeError: the graph is not connected with ``n - 1`` edges.
@@ -397,12 +384,16 @@ def neighborhood_equivalence_audit(g: Graph, trials: int = 100, seed: int = 0) -
     include_open = all(g.adj[v] for v in range(g.n))
     open_h, open_gens = _neighborhoods(g, "open") if include_open else (None, ())
 
+    # Strong degrees in one pass over the reference maximal_edges, not the
+    # peeling engine, so the audit stays independent of what it audits.
+    bounds = [(closed_h, 1)] if open_h is None else [(closed_h, 1), (open_h, 0)]
     degree_bound_failures = 0
-    for v in range(g.n):
-        if strong_degree(closed_h, v) > g.degree(v) + 1:
-            degree_bound_failures += 1
-        if open_h is not None and strong_degree(open_h, v) > g.degree(v):
-            degree_bound_failures += 1
+    for h, slack in bounds:
+        strong = [0] * g.n
+        for i in maximal_edges(h):
+            for v in h.edges[i]:
+                strong[v] += 1
+        degree_bound_failures += sum(1 for v in range(g.n) if strong[v] > g.degree(v) + slack)
 
     rng = random.Random(seed)
     checks_run = 0

@@ -95,8 +95,6 @@ def random_tree(n: int, seed: int = 0) -> Graph:
         raise NTooSmallError("trees need at least one vertex")
     if n == 1:
         return Graph(1, ((),))
-    if n == 2:
-        return Graph.from_edges(2, [(0, 1)])
     rng = random.Random(seed)
     sequence = tuple(rng.randrange(n) for _ in range(n - 2))
     return prufer_decode(sequence, n)

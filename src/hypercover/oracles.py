@@ -50,6 +50,32 @@ def _search(
     return None
 
 
+def _covering(masks: list[int], full: int) -> Callable[[tuple[int, ...]], bool]:
+    """Feasibility of "the chosen masks cover every bit of ``full``"."""
+
+    def covers(candidate: tuple[int, ...]) -> bool:
+        acc = 0
+        for i in candidate:
+            acc |= masks[i]
+        return acc == full
+
+    return covers
+
+
+def _packing(masks: list[int]) -> Callable[[tuple[int, ...]], bool]:
+    """Feasibility of "the chosen masks are pairwise disjoint"."""
+
+    def packs(candidate: tuple[int, ...]) -> bool:
+        acc = 0
+        for i in candidate:
+            if acc & masks[i]:
+                return False
+            acc |= masks[i]
+        return True
+
+    return packs
+
+
 def _certified(
     problem: str,
     found: tuple[int, tuple[int, ...], int] | None,
@@ -102,14 +128,7 @@ def _exact_hypergraph(h: Hypergraph, problem: str) -> ExactResult:
     if problem == "min-edge-cover":
         if any(not row for row in h.incidence):
             raise InfeasibleError("an isolated vertex lies in no edge")
-
-        def covers(candidate: tuple[int, ...]) -> bool:
-            acc = 0
-            for i in candidate:
-                acc |= edge_masks[i]
-            return acc == full
-
-        return _certified(problem, _search(h.m, True, covers), check, h, "edge-cover")
+        return _certified(problem, _search(h.m, True, _covering(edge_masks, full)), check, h, "edge-cover")
     elif problem == "min-transversal":
 
         def transverses(candidate: tuple[int, ...]) -> bool:
@@ -132,16 +151,7 @@ def _exact_hypergraph(h: Hypergraph, problem: str) -> ExactResult:
 
         return _certified(problem, _search(h.n, False, independent), check, h, "independent-set")
     else:
-
-        def disjoint(candidate: tuple[int, ...]) -> bool:
-            acc = 0
-            for i in candidate:
-                if acc & edge_masks[i]:
-                    return False
-                acc |= edge_masks[i]
-            return True
-
-        return _certified(problem, _search(h.m, False, disjoint), check, h, "matching")
+        return _certified(problem, _search(h.m, False, _packing(edge_masks)), check, h, "matching")
 
 
 def _check_graph_cap(n: int) -> None:
@@ -165,24 +175,8 @@ def _exact_graph(g: Graph, problem: str) -> ExactResult:
     if problem in ("min-dominating", "min-total-dominating"):
         if problem == "min-total-dominating" and any(not row for row in g.adj):
             raise InfeasibleError("an isolated vertex has no neighbor to dominate it")
-
-        def dominates(candidate: tuple[int, ...]) -> bool:
-            acc = 0
-            for v in candidate:
-                acc |= hood_masks[v]
-            return acc == full
-
         kind = "dominating" if closed else "total-dominating"
-        return _certified(problem, _search(g.n, True, dominates), check_graph, g, kind)
+        return _certified(problem, _search(g.n, True, _covering(hood_masks, full)), check_graph, g, kind)
     else:
-
-        def packs(candidate: tuple[int, ...]) -> bool:
-            acc = 0
-            for v in candidate:
-                if acc & hood_masks[v]:
-                    return False
-                acc |= hood_masks[v]
-            return True
-
         kind = "2-packing" if closed else "open-2-packing"
-        return _certified(problem, _search(g.n, False, packs), check_graph, g, kind)
+        return _certified(problem, _search(g.n, False, _packing(hood_masks)), check_graph, g, kind)

@@ -11,6 +11,18 @@ from hypothesis import strategies as st
 from hypercover import Graph, Hypergraph, prufer_decode
 
 
+# Files whose only fault is in the header or its edge count, for the tag
+# ``tag`` of the format under test; ``other`` is the other format's tag.
+MALFORMED_HEADERS = {
+    "wrong-tag": "p {other} 2 1\ne 1 2\n",
+    "three-tokens": "p {tag} 2\ne 1 2\n",
+    "non-integer-count": "p {tag} 2 x\ne 1 2\n",
+    "negative-count": "p {tag} -2 1\ne 1 2\n",
+    "missing-header": "e 1 2\n",
+    "count-off-by-one": "p {tag} 2 2\ne 1 2\n",
+}
+
+
 @st.composite
 def hypergraphs(draw, max_n: int = 8, max_m: int = 10, min_m: int = 1):
     """Random hypergraph with distinct nonempty edges."""

@@ -42,7 +42,7 @@ from hypercover.errors import (
     VertexOutOfRangeError,
 )
 
-from conftest import hypergraphs
+from conftest import MALFORMED_HEADERS, hypergraphs
 
 
 def naive_maximal(edge_sets):
@@ -81,6 +81,10 @@ class TestConstruction:
         with pytest.warns(FormatWarning):
             h = Hypergraph.from_edges(3, [(0, 1), (1, 0), (2,)], strict=False)
         assert h.edges == ((0, 1), (2,))
+        # Repeats after a distinct edge go too; first occurrences keep their order.
+        with pytest.warns(FormatWarning, match="merged 2 "):
+            h = Hypergraph.from_edges(3, [(2,), (0, 1), (1, 2), (1, 0), (2,)], strict=False)
+        assert h.edges == ((2,), (0, 1), (1, 2))
 
     def test_labels_length_checked(self):
         with pytest.raises(ParameterError):
@@ -111,9 +115,10 @@ class TestTextFormat:
         with pytest.raises(FormatError):
             parse_hypergraph("e 1 2\n")
 
-    def test_malformed_header(self):
-        with pytest.raises(FormatError):
-            parse_hypergraph("p graph 2 1\ne 1 2\n")
+    @pytest.mark.parametrize("text", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS)
+    def test_malformed_header(self, text):
+        with pytest.raises(FormatError, match="header"):
+            parse_hypergraph(text.format(tag="hg", other="edge"))
 
     def test_count_mismatch(self):
         with pytest.raises(FormatError):

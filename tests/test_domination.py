@@ -36,7 +36,7 @@ from hypercover.errors import (
     VertexOutOfRangeError,
 )
 
-from conftest import graphs, trees
+from conftest import MALFORMED_HEADERS, graphs, trees
 
 
 def assert_generic_agrees(t, kind, cert):
@@ -85,11 +85,10 @@ class TestGraphFormat:
         assert g.edges == ((0, 1), (1, 2), (2, 3))
         assert format_graph(g) == self.P4
 
-    def test_header_errors(self):
-        with pytest.raises(FormatError):
-            parse_graph("p hg 2 1\ne 1 2\n")
-        with pytest.raises(FormatError):
-            parse_graph("e 1 2\n")
+    @pytest.mark.parametrize("text", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS)
+    def test_header_errors(self, text):
+        with pytest.raises(FormatError, match="header"):
+            parse_graph(text.format(tag="edge", other="hg"))
 
     def test_edge_line_errors(self):
         with pytest.raises(FormatError):

@@ -8,6 +8,7 @@ from __future__ import annotations
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -100,6 +101,17 @@ def test_tiny_graph_header_with_a_huge_vertex_count_fails_fast(tmp_path, capsys,
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: {error}: ")
     assert peak < 64 * 2**20
+
+
+def test_audit_of_a_tiny_edgeless_graph_is_fast(tmp_path, capsys):
+    # One strong-degree pass over the maximal edges: one scan of them per
+    # vertex took about 40 s of CPU time on this 15-byte file.
+    path = tmp_path / "edgeless.gr"
+    path.write_text("p edge 20000 0")
+    start = time.process_time()
+    assert main(["audit", "--trials", "1", str(path)]) == 0
+    assert time.process_time() - start < 5
+    assert "degree_bound_failures: 0" in capsys.readouterr().out
 
 
 def _readme_blocks(header: str) -> list[str]:
