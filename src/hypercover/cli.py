@@ -37,7 +37,7 @@ from .domination import (
     parse_graph,
     tree_domination,
 )
-from .errors import HypercoverError, IdOutOfRangeError, NotATreeError
+from .errors import FormatError, HypercoverError, IdOutOfRangeError, NotATreeError
 from .generators import gap_family, random_hypergraph, random_tree
 from .oracles import GRAPH_PROBLEMS, PROBLEMS, _check_graph_cap, exact
 
@@ -46,10 +46,15 @@ def _read_text(args: argparse.Namespace) -> str:
     path = args.input_option if args.input_option is not None else args.input
     if path is None:
         path = "-"
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            # The bytes, decoded strictly: the stream's own decoding may
+            # follow the locale or let bad bytes through as surrogates.
+            return sys.stdin.buffer.read().decode("utf-8")
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"input is not UTF-8 text: byte {exc.object[exc.start]:#04x} at offset {exc.start}") from None
 
 
 def _load_hypergraph(args: argparse.Namespace):

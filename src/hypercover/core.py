@@ -309,7 +309,9 @@ def check(h: HypergraphLike, kind: str, ids: Iterable[int]) -> bool:
     """
     chosen = sorted(set(ids))
     sets = h.edge_sets
-    universe = frozenset(h.vertices)
+    # A range, not a set of n objects, for a whole hypergraph: a tiny file
+    # may declare a huge n.
+    universe = range(h.n) if isinstance(h, Hypergraph) else frozenset(h.vertices)
     if kind in ("edge-cover", "matching"):
         for i in chosen:
             if not 0 <= i < len(sets):
@@ -318,7 +320,8 @@ def check(h: HypergraphLike, kind: str, ids: Iterable[int]) -> bool:
             covered: set[int] = set()
             for i in chosen:
                 covered |= sets[i]
-            return covered == universe
+            # Every edge lies inside the vertex set, so equal sizes suffice.
+            return len(covered) == len(universe)
         used: set[int] = set()
         for i in chosen:
             if used & sets[i]:
@@ -378,7 +381,7 @@ def vc_dimension(h: HypergraphLike, max_vertices: int = VC_DEFAULT_CAP) -> tuple
     Raises:
         TooLargeError: more vertices than ``max_vertices``.
     """
-    universe = h.vertices
+    universe = range(h.n) if isinstance(h, Hypergraph) else h.vertices
     if len(universe) > max_vertices:
         raise TooLargeError(f"{len(universe)} vertices exceed the cap of {max_vertices}")
     sets = h.edge_sets

@@ -6,21 +6,51 @@ feasible hit is the optimum with the lexicographically least witness.
 Every witness is re-validated through the definition checkers before being
 returned.  These run in exponential time and exist to certify the fast
 paths on small instances, hence the hard size caps.
+
+Every problem is one of two searches over one family of bit masks: a
+covering search (fewest masks whose union is the whole target) or a packing
+search (most pairwise disjoint masks).  The families are a hypergraph's
+edges over its vertices, its vertices' incidence sets over its edges, and a
+graph's closed or open neighborhoods over its vertices.  The incidence sets
+are the edges of the dual hypergraph H*, so a transversal of H is an edge
+cover of H* and an independent set of H is a matching of H* (Berge,
+*Hypergraphs: Combinatorics of Finite Sets*, 1989).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
-from typing import Callable, Union
+from operator import or_
+from typing import Callable, Iterable, NamedTuple, Union
 
 from .core import Hypergraph, check
 from .domination import Graph, check_graph
 from .errors import CertificateError, InfeasibleError, ParameterError, TooLargeError
 
-HYPERGRAPH_PROBLEMS = ("min-edge-cover", "max-independent-set", "min-transversal", "max-matching")
-GRAPH_PROBLEMS = ("min-dominating", "min-total-dominating", "max-2-packing", "max-open-2-packing")
-PROBLEMS = HYPERGRAPH_PROBLEMS + GRAPH_PROBLEMS
+
+class _Problem(NamedTuple):
+    family: str  # "edges", "vertices", "closed" or "open"
+    covering: bool  # a covering (minimum) search, else a packing (maximum) one
+    kind: str  # what ``check`` or ``check_graph`` validates the witness as
+
+
+_TABLE = {
+    "min-edge-cover": _Problem("edges", True, "edge-cover"),
+    "max-independent-set": _Problem("vertices", False, "independent-set"),
+    "min-transversal": _Problem("vertices", True, "transversal"),
+    "max-matching": _Problem("edges", False, "matching"),
+    "min-dominating": _Problem("closed", True, "dominating"),
+    "min-total-dominating": _Problem("open", True, "total-dominating"),
+    "max-2-packing": _Problem("closed", False, "2-packing"),
+    "max-open-2-packing": _Problem("open", False, "open-2-packing"),
+}
+_HYPERGRAPH_FAMILIES = ("edges", "vertices")
+
+PROBLEMS = tuple(_TABLE)
+HYPERGRAPH_PROBLEMS = tuple(p for p in PROBLEMS if _TABLE[p].family in _HYPERGRAPH_FAMILIES)
+GRAPH_PROBLEMS = tuple(p for p in PROBLEMS if p not in HYPERGRAPH_PROBLEMS)
 
 HYPERGRAPH_CAP = 16
 GRAPH_CAP = 18
@@ -76,20 +106,25 @@ def _packing(masks: list[int]) -> Callable[[tuple[int, ...]], bool]:
     return packs
 
 
-def _certified(
-    problem: str,
-    found: tuple[int, tuple[int, ...], int] | None,
-    checker: Callable[..., bool],
-    instance: Union[Hypergraph, Graph],
-    kind: str,
-) -> ExactResult:
-    """Re-validate the search's witness with ``checker(instance, kind, ...)``."""
-    # Every supported problem is feasible once the callers' infeasibility
-    # checks pass, so an empty search is as much a failure as a bad witness.
-    if found is None or not checker(instance, kind, found[1]):
-        raise CertificateError(f"{problem}: the search produced no valid witness")
-    value, witness, explored = found
-    return ExactResult(problem, value, witness, explored)
+def _mask(ids: Iterable[int]) -> int:
+    return sum(1 << i for i in ids)
+
+
+def _masks(instance: Union[Hypergraph, Graph], family: str) -> tuple[list[int], int]:
+    """The family's masks and the number of bits in their target."""
+    if family == "edges":
+        return [_mask(e) for e in instance.edges], instance.n
+    if family == "vertices":
+        return [_mask(row) for row in instance.incidence], instance.m
+    self_bit = 1 if family == "closed" else 0
+    return [_mask(row) | self_bit << v for v, row in enumerate(instance.adj)], instance.n
+
+
+def _check_graph_cap(n: int) -> None:
+    """Raise when a graph on ``n`` vertices is beyond the exact solvers; the
+    command line calls this before it builds the graph."""
+    if n > GRAPH_CAP:
+        raise TooLargeError(f"{n} vertices exceed the cap of {GRAPH_CAP}")
 
 
 def exact(instance: Union[Hypergraph, Graph], problem: str) -> ExactResult:
@@ -106,77 +141,29 @@ def exact(instance: Union[Hypergraph, Graph], problem: str) -> ExactResult:
         ParameterError: unknown problem or mismatched instance type.
         CertificateError: the search returned no valid witness.
     """
-    if problem in HYPERGRAPH_PROBLEMS:
-        if not isinstance(instance, Hypergraph):
-            raise ParameterError(f"{problem} needs a hypergraph instance")
-        return _exact_hypergraph(instance, problem)
-    if problem in GRAPH_PROBLEMS:
-        if not isinstance(instance, Graph):
-            raise ParameterError(f"{problem} needs a graph instance")
-        return _exact_graph(instance, problem)
-    raise ParameterError(f"unknown problem {problem!r}")
+    if problem not in PROBLEMS:
+        raise ParameterError(f"unknown problem {problem!r}")
+    spec = _TABLE[problem]
+    hypergraph = spec.family in _HYPERGRAPH_FAMILIES
+    if not isinstance(instance, Hypergraph if hypergraph else Graph):
+        raise ParameterError(f"{problem} needs a {'hypergraph' if hypergraph else 'graph'} instance")
+    if not hypergraph:
+        _check_graph_cap(instance.n)
+    elif instance.n > HYPERGRAPH_CAP:
+        raise TooLargeError(f"{instance.n} vertices exceed the cap of {HYPERGRAPH_CAP}")
+    elif spec.family == "edges" and instance.m > GROUND_SET_CAP:
+        raise TooLargeError(f"{instance.m} edges exceed the cap of {GROUND_SET_CAP}")
 
-
-def _exact_hypergraph(h: Hypergraph, problem: str) -> ExactResult:
-    if h.n > HYPERGRAPH_CAP:
-        raise TooLargeError(f"{h.n} vertices exceed the cap of {HYPERGRAPH_CAP}")
-    if h.m > GROUND_SET_CAP and problem in ("min-edge-cover", "max-matching"):
-        raise TooLargeError(f"{h.m} edges exceed the cap of {GROUND_SET_CAP}")
-    full = (1 << h.n) - 1
-    edge_masks = [sum(1 << v for v in e) for e in h.edges]
-
-    if problem == "min-edge-cover":
-        if any(not row for row in h.incidence):
-            raise InfeasibleError("an isolated vertex lies in no edge")
-        return _certified(problem, _search(h.m, True, _covering(edge_masks, full)), check, h, "edge-cover")
-    elif problem == "min-transversal":
-
-        def transverses(candidate: tuple[int, ...]) -> bool:
-            smask = sum(1 << v for v in candidate)
-            return all(mask & smask for mask in edge_masks)
-
-        return _certified(problem, _search(h.n, True, transverses), check, h, "transversal")
-    elif problem == "max-independent-set":
-        conflict = [0] * h.n
-        for mask in edge_masks:
-            rest = mask
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                conflict[bit.bit_length() - 1] |= mask & ~bit
-
-        def independent(candidate: tuple[int, ...]) -> bool:
-            smask = sum(1 << v for v in candidate)
-            return all(conflict[v] & smask == 0 for v in candidate)
-
-        return _certified(problem, _search(h.n, False, independent), check, h, "independent-set")
-    else:
-        return _certified(problem, _search(h.m, False, _packing(edge_masks)), check, h, "matching")
-
-
-def _check_graph_cap(n: int) -> None:
-    """Raise when a graph on ``n`` vertices is beyond the exact solvers; the
-    command line calls this before it builds the graph."""
-    if n > GRAPH_CAP:
-        raise TooLargeError(f"{n} vertices exceed the cap of {GRAPH_CAP}")
-
-
-def _exact_graph(g: Graph, problem: str) -> ExactResult:
-    _check_graph_cap(g.n)
-    full = (1 << g.n) - 1
-    closed = problem in ("min-dominating", "max-2-packing")
-    hood_masks = []
-    for v in range(g.n):
-        mask = sum(1 << u for u in g.adj[v])
-        if closed:
-            mask |= 1 << v
-        hood_masks.append(mask)
-
-    if problem in ("min-dominating", "min-total-dominating"):
-        if problem == "min-total-dominating" and any(not row for row in g.adj):
-            raise InfeasibleError("an isolated vertex has no neighbor to dominate it")
-        kind = "dominating" if closed else "total-dominating"
-        return _certified(problem, _search(g.n, True, _covering(hood_masks, full)), check_graph, g, kind)
-    else:
-        kind = "2-packing" if closed else "open-2-packing"
-        return _certified(problem, _search(g.n, False, _packing(hood_masks)), check_graph, g, kind)
+    masks, bits = _masks(instance, spec.family)
+    full = (1 << bits) - 1
+    if spec.covering and reduce(or_, masks, 0) != full:
+        raise InfeasibleError(f"{problem}: an isolated vertex lies in no {'edge' if hypergraph else 'neighborhood'}")
+    feasible = _covering(masks, full) if spec.covering else _packing(masks)
+    found = _search(len(masks), spec.covering, feasible)
+    # Named here, not in _TABLE, so a checker replaced at run time is used.
+    checker = check if hypergraph else check_graph
+    # A packing search always finds the empty set and a covering search the
+    # whole family, so an empty search is as much a failure as a bad witness.
+    if found is None or not checker(instance, spec.kind, found[1]):
+        raise CertificateError(f"{problem}: the search produced no valid witness")
+    return ExactResult(problem, *found)

@@ -6,9 +6,17 @@ property tests.
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 from hypothesis import strategies as st
 
 from hypercover import Graph, Hypergraph, prufer_decode
+
+# Subprocesses (``python -m hypercover``, the demos) import this checkout's
+# package too, installed or not.
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 
 # Files whose only fault is in the header or its edge count, for the tag

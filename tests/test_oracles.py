@@ -12,6 +12,7 @@ from hypercover import (
     Hypergraph,
     check,
     check_graph,
+    dual,
     exact,
     gap_family,
     greedy_cover,
@@ -21,6 +22,20 @@ from hypercover import (
 from hypercover.errors import InfeasibleError, ParameterError, TooLargeError
 
 from conftest import covering_hypergraphs, graphs
+
+
+# Candidates tried before the first feasible one, kept outside the
+# parametrizations so the test ids stay as they were.
+EXPLORED = {
+    "min-edge-cover": 7,
+    "max-independent-set": 27,
+    "min-transversal": 7,
+    "max-matching": 27,
+    "min-dominating": 7,
+    "min-total-dominating": 9,
+    "max-2-packing": 8,
+    "max-open-2-packing": 6,
+}
 
 
 class TestFrozenAnswers:
@@ -38,7 +53,7 @@ class TestFrozenAnswers:
         assert result.problem == problem
         assert result.value == value
         assert result.witness == witness
-        assert result.explored >= 1
+        assert result.explored == EXPLORED[problem]
 
     @pytest.mark.parametrize(
         "problem, value, witness",
@@ -53,6 +68,7 @@ class TestFrozenAnswers:
         result = exact(path_graph(4), problem)
         assert result.value == value
         assert result.witness == witness
+        assert result.explored == EXPLORED[problem]
 
     def test_witness_is_lexicographically_least(self):
         # (0, 2) dominates the path before (1, 2) is ever tried
@@ -114,6 +130,16 @@ class TestRelations:
         dual_greedy = greedy_transversal(h)
         assert transversal.value <= len(dual_greedy.transversal)
         assert len(dual_greedy.matching) <= matching.value
+
+    @given(covering_hypergraphs(max_n=7, max_extra=12))
+    @settings(max_examples=40)
+    def test_transversal_and_independent_set_are_the_duals_cover_and_packing(self, h):
+        # The dual's edges are the vertices' incidence sets, merged when equal;
+        # at most 4 blocks and 12 extra edges keep its m <= 16 vertices in the cap.
+        assert h.m <= 16
+        d = dual(h)
+        assert exact(h, "min-transversal").value == exact(d, "min-edge-cover").value
+        assert exact(h, "max-independent-set").value == exact(d, "max-matching").value
 
     @given(graphs(max_n=7))
     @settings(max_examples=40)

@@ -89,6 +89,24 @@ def test_tiny_file_with_a_huge_vertex_count_fails_fast(tmp_path, capsys, command
     assert peak < 64 * 2**20
 
 
+@pytest.mark.parametrize(
+    "argv, code, line",
+    [
+        (["verify", "--kind", "edge-cover"], 0, "valid: False"),
+        (["verify", "--kind", "transversal", "--ids", "1"], 0, "valid: True"),
+        (["vc"], 1, "error: TooLarge: 20000000 vertices exceed the cap of 20"),
+    ],
+)
+def test_checks_on_a_tiny_file_with_a_huge_vertex_count_stay_small(tmp_path, capsys, argv, code, line):
+    path = tmp_path / "huge.hg"
+    path.write_text("p hg 20000000 0")
+    exit_code, peak = _main_with_peak([*argv, "--input", str(path)])
+    captured = capsys.readouterr()
+    assert exit_code == code
+    assert line in (captured.out + captured.err).splitlines()
+    assert peak < 64 * 2**20
+
+
 @pytest.mark.parametrize("n", [200000, 20000000])
 @pytest.mark.parametrize(
     "argv, error",
@@ -101,6 +119,25 @@ def test_tiny_graph_header_with_a_huge_vertex_count_fails_fast(tmp_path, capsys,
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: {error}: ")
     assert peak < 64 * 2**20
+
+
+NOT_UTF8 = b"p hg 2 1\ne 1 \xff\n"
+NOT_UTF8_ERROR = "error: SyntaxError: input is not UTF-8 text"
+
+
+def test_a_file_that_is_not_utf8_is_a_coded_error(tmp_path, capsys):
+    path = tmp_path / "bad.hg"
+    path.write_bytes(NOT_UTF8)
+    assert main(["cover", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(NOT_UTF8_ERROR)
+
+
+def test_stdin_that_is_not_utf8_is_a_coded_error():
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypercover", "cover"], input=NOT_UTF8, capture_output=True, timeout=120
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.decode().startswith(NOT_UTF8_ERROR)
 
 
 def test_audit_of_a_tiny_edgeless_graph_is_fast(tmp_path, capsys):
