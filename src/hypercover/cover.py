@@ -1,16 +1,19 @@
 """Greedy edge cover with a certified multiplicative bound, and its dual.
 
-One greedy step takes a vertex ``x`` of minimum strong degree, puts every
-maximal trace through ``x`` into the cover (each extended to the smallest
-base edge reproducing it), and strongly removes ``x``.  The selected
-vertices form an independent set ``X`` and the step sizes telescope into
+The greedy is the peel of :mod:`hypercover.degeneracy` with the strong
+removal move.  Each step takes a vertex ``x`` of minimum strong degree,
+puts every maximal trace through ``x`` into the cover (as its
+representative, the smallest base edge reproducing it), and strongly
+removes ``x``.  The selected vertices form an independent set ``X`` and the
+step sizes telescope into
 
-    |C|  <=  sum of step sizes  <=  factor * |X|,
+    |C|  <=  sum of step sizes  <=  factor * |X|.
 
-where the factor is the strong degeneracy of the input (every intermediate
-restriction is reachable by strong removal, so the brute-force mighty value
-tightens the same bound when it is affordable).  Since an edge cover is
-never smaller than an independent set, a run certifies both quantities.
+A step size is the minimum strong degree of a restriction that strong
+removal reaches, so at most the mighty degeneracy, itself at most the
+strong degeneracy: the factor, tightened to the mighty value when that is
+affordable.  Since an edge cover is never smaller than an independent set,
+a run certifies both quantities.
 
 ``greedy_transversal`` runs the same greedy on the dual hypergraph, turning
 the cover into a transversal and the independent set into a matching.
@@ -20,9 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._trace_index import TraceIndex
 from .core import Hypergraph, _reject_isolated, check, dual
-from .degeneracy import MIGHTY_BF_CAP, mighty_degeneracy_bf, strong_degeneracy
+from .degeneracy import MIGHTY_BF_CAP, _peel, mighty_degeneracy_bf, strong_degeneracy
 from .errors import CertificateError
 
 
@@ -84,30 +86,11 @@ def greedy_cover(h: Hypergraph, mighty: bool = False) -> CoverCertificate:
     bound = strong_degeneracy(h).value
     mighty_value = mighty_degeneracy_bf(h) if mighty and h.n <= MIGHTY_BF_CAP else None
 
-    index = TraceIndex(h, strong=True)
-    cover_ids: list[int] = []
-    chosen: list[int] = []
-    per_step: list[int] = []
-    while (entry := index.pop_min()) is not None:
-        d, x = entry
-        pairs = index.maximal_traces_at(x)
-        # No live vertex can be edgeless: isolated vertices are rejected up
-        # front and strong removal takes whole edges at a time.
-        if d < 1 or len(pairs) != d:
-            raise CertificateError(f"vertex {x} has strong degree {d} but {len(pairs)} maximal traces")
-        chosen.append(x)
-        per_step.append(d)
-        victims: set[int] = {x}
-        for rep, trace in pairs:
-            cover_ids.append(rep)
-            victims |= trace
-        for v in sorted(victims):
-            index.delete_vertex(v)
-
+    steps, cover_ids = _peel(h, strong=True, strong_removal=True)
     if len(set(cover_ids)) != len(cover_ids):
         raise CertificateError("an edge was selected twice")
     cover = tuple(sorted(cover_ids))
-    independent = tuple(chosen)
+    independent, per_step = steps.order, steps.step_values
     total = sum(per_step)
     inequality = len(cover) <= total <= bound * len(independent) if independent else len(cover) == 0
     if mighty_value is not None and independent:
@@ -119,7 +102,7 @@ def greedy_cover(h: Hypergraph, mighty: bool = False) -> CoverCertificate:
     )
     if not (checks.cover_valid and checks.independent_valid and checks.inequality_holds):
         raise CertificateError(f"greedy cover failed its self-check: {checks}")
-    return CoverCertificate(cover, independent, tuple(per_step), bound, mighty_value, checks)
+    return CoverCertificate(cover, independent, per_step, bound, mighty_value, checks)
 
 
 def greedy_transversal(h: Hypergraph) -> TransversalCertificate:

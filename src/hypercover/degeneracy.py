@@ -1,17 +1,15 @@
-"""Degeneracy-style parameters obtained by peeling minimum-degree vertices.
+"""Degeneracy-style parameters, each given by a removal move: deleting a
+vertex, or strong removal, deleting it with all vertices of its edges.
 
-``strong_degeneracy`` peels on strong degree (number of maximal traces
-through a vertex) and ``degeneracy`` on plain degree (number of distinct
-traces).  Each returns the full elimination order; the parameter itself is
-the largest per-step minimum.
-
-The brute-force variants enumerate vertex subsets directly and are kept
-deliberately independent of the peeling machinery: ``strong_degeneracy_bf``
-maximizes the minimum strong degree over all induced restrictions, while
-``mighty_degeneracy_bf`` does so over restrictions reachable by strong
-removal only (drop a set R together with every vertex of every edge meeting
-R).  No subexponential algorithm is known for the latter parameter, hence
-the small size caps.
+``_peel``, the one peeling engine, pops a vertex of minimum degree (smallest
+id on ties) and applies the move until none is left: ``strong_degeneracy``
+(maximal traces through the vertex) and ``degeneracy`` (distinct traces)
+delete it, the greedy cover strongly removes it.  ``_best_restriction``,
+the one exhaustive search, scores every restriction the move reaches: the
+complements of the unions of singletons {v} (``strong_degeneracy_bf``) or
+of closed neighborhoods N[v] = {v} plus every edge through v
+(``mighty_degeneracy_bf``).  It shares nothing with the engine it checks;
+no subexponential algorithm is known for the mighty value, hence the caps.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from dataclasses import dataclass
 
 from ._trace_index import TraceIndex
 from .core import Hypergraph
-from .errors import TooLargeError
+from .errors import CertificateError, TooLargeError
 
 STRONG_BF_CAP = 12
 MIGHTY_BF_CAP = 14
@@ -38,49 +36,94 @@ class EliminationOrder:
         return max(self.step_values, default=0)
 
 
-def _peel(h: Hypergraph, strong: bool) -> EliminationOrder:
+def _peel(h: Hypergraph, strong: bool, strong_removal: bool = False) -> tuple[EliminationOrder, list[int]]:
+    """Pop a vertex of minimum strong (or plain) degree and delete it, or with
+    ``strong_removal`` strongly remove it, until no vertex is left.  Returns
+    the popped vertices with their degrees and the representatives of the
+    maximal traces removed.  Vertices in no edge have degree 0 throughout,
+    any other at least 1, so they come first and never enter the index."""
+    seen = set().union(*h.edges)
+    order = [v for v in range(h.n) if v not in seen] if len(seen) < h.n else []
+    values = [0] * len(order)
+    ids = sorted(seen) if order else range(h.n)
+    if order:
+        # Renumbering in id order keeps every tie; edge ids stay put.
+        local = {v: i for i, v in enumerate(ids)}
+        h = Hypergraph(len(ids), tuple(tuple(local[v] for v in e) for e in h.edges))
     index = TraceIndex(h, strong=strong)
-    order: list[int] = []
-    values: list[int] = []
+    taken: list[int] = []
     while (entry := index.pop_min()) is not None:
-        d, v = entry
-        order.append(v)
+        d, x = entry
+        order.append(ids[x])
         values.append(d)
-        index.delete_vertex(v)
-    return EliminationOrder(tuple(order), tuple(values))
+        if not strong_removal:
+            index.delete_vertex(x)
+            continue
+        pairs = index.maximal_traces_at(x)
+        if d < 1 or len(pairs) != d:
+            raise CertificateError(f"vertex {ids[x]} has strong degree {d} but {len(pairs)} maximal traces")
+        victims: set[int] = {x}
+        for rep, trace in pairs:
+            taken.append(rep)
+            victims |= trace
+        for v in sorted(victims):
+            index.delete_vertex(v)
+    return EliminationOrder(tuple(order), tuple(values)), taken
 
 
 def strong_degeneracy(h: Hypergraph) -> EliminationOrder:
     """Peel the minimum-strong-degree vertex (smallest id on ties) until no
     vertex remains."""
-    return _peel(h, strong=True)
+    return _peel(h, strong=True)[0]
 
 
 def degeneracy(h: Hypergraph) -> EliminationOrder:
     """Plain-degree analog of :func:`strong_degeneracy`."""
-    return _peel(h, strong=False)
+    return _peel(h, strong=False)[0]
 
 
-def _min_strong_degree(edge_masks: list[int], subset_mask: int) -> int:
+def _min_strong_degree(edge_masks: list[int], subset_mask: int, floor: int) -> int:
     """Minimum, over the vertices of ``subset_mask``, of the number of
-    maximal traces containing the vertex."""
-    traces: set[int] = set()
-    for mask in edge_masks:
-        t = mask & subset_mask
-        if t:
-            traces.add(t)
-    maximal = [t for t in traces if not any(u != t and t | u == u for u in traces)]
-    best: int | None = None
+    maximal traces containing the vertex; any value up to ``floor`` once the
+    minimum is known not to exceed it."""
+    traces = {mask & subset_mask for mask in edge_masks} - {0}
+    if len(traces) <= floor:
+        return floor
+    # Largest first: a trace inside another lies in a maximal one kept before.
+    maximal: list[int] = []
+    for t in sorted(traces, key=int.bit_count, reverse=True):
+        if all(t | u != u for u in maximal):
+            maximal.append(t)
+    best = len(maximal)
     rest = subset_mask
-    while rest:
+    while rest and best > floor:
         bit = rest & -rest
         rest ^= bit
-        d = sum(1 for t in maximal if t & bit)
-        if best is None or d < best:
-            best = d
-            if best == 0:
-                break
-    return best or 0
+        best = min(best, sum(1 for t in maximal if t & bit))
+    return best
+
+
+def _best_restriction(h: Hypergraph, max_vertices: int, strong_removal: bool) -> int:
+    """Maximum of the minimum strong degree over every nonempty restriction
+    reachable by deleting vertices, or by strong removal."""
+    if h.n > max_vertices:
+        raise TooLargeError(f"{h.n} vertices exceed the cap of {max_vertices}")
+    masks = [sum(1 << v for v in e) for e in h.edges]
+    # What one move drops: {v}, or N[v] under strong removal.
+    drops = [1 << v for v in range(h.n)]
+    if strong_removal:
+        for e, mask in zip(h.edges, masks):
+            for v in e:
+                drops[v] |= mask
+    # Every union of drops, the empty one (keep everything) included.
+    gone = {0}
+    for drop in drops:
+        gone |= {g | drop for g in gone}
+    full = (1 << h.n) - 1
+    best = 0
+    for g in gone - {full}:
+        best = max(best, _min_strong_degree(masks, full & ~g, best))
+    return best
 
 
 def strong_degeneracy_bf(h: Hypergraph, max_vertices: int = STRONG_BF_CAP) -> int:
@@ -90,41 +133,14 @@ def strong_degeneracy_bf(h: Hypergraph, max_vertices: int = STRONG_BF_CAP) -> in
     Raises:
         TooLargeError: more vertices than ``max_vertices``.
     """
-    if h.n > max_vertices:
-        raise TooLargeError(f"{h.n} vertices exceed the cap of {max_vertices}")
-    masks = [sum(1 << v for v in e) for e in h.edges]
-    best = 0
-    for subset in range(1, 1 << h.n):
-        value = _min_strong_degree(masks, subset)
-        if value > best:
-            best = value
-    return best
+    return _best_restriction(h, max_vertices, strong_removal=False)
 
 
 def mighty_degeneracy_bf(h: Hypergraph, max_vertices: int = MIGHTY_BF_CAP) -> int:
-    """Exhaustive maximum of the minimum strong degree over every restriction
-    reachable by strong removal (the empty removal, keeping everything,
-    included).
+    """Exhaustive maximum of the minimum strong degree over every nonempty
+    restriction reachable by strong removal, the empty removal included.
 
     Raises:
         TooLargeError: more vertices than ``max_vertices``.
     """
-    if h.n > max_vertices:
-        raise TooLargeError(f"{h.n} vertices exceed the cap of {max_vertices}")
-    masks = [sum(1 << v for v in e) for e in h.edges]
-    full = (1 << h.n) - 1
-    survivors: set[int] = set()
-    for removed in range(1 << h.n):
-        gone = removed
-        for mask in masks:
-            if mask & removed:
-                gone |= mask
-        w = full & ~gone
-        if w:
-            survivors.add(w)
-    best = 0
-    for w in survivors:
-        value = _min_strong_degree(masks, w)
-        if value > best:
-            best = value
-    return best
+    return _best_restriction(h, max_vertices, strong_removal=True)

@@ -55,7 +55,8 @@ class Graph:
             raise ParameterError("vertex count must be nonnegative")
         if len(self.adj) != self.n:
             raise ParameterError("adjacency table must have one row per vertex")
-        rows = [set(row) for row in self.adj]
+        # A vertex with no neighbours keeps its shared empty row: no set.
+        rows = [set(row) if row else () for row in self.adj]
         for v, row in enumerate(self.adj):
             if tuple(sorted(rows[v])) != row:
                 raise ParameterError(f"neighbor row of {v} is not sorted and duplicate-free")
@@ -70,7 +71,9 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build from an edge list; repeated edges merge with a warning."""
-        rows: list[set[int]] = [set() for _ in range(n)]
+        # A vertex gets a set at its first neighbour; until then it shares
+        # the empty row, so edgeless vertices cost no set.
+        rows: list[set[int] | tuple[()]] = [()] * n
         dropped = 0
         for u, v in edges:
             for w in (u, v):
@@ -81,6 +84,10 @@ class Graph:
             if v in rows[u]:
                 dropped += 1
                 continue
+            if not rows[u]:
+                rows[u] = set()
+            if not rows[v]:
+                rows[v] = set()
             rows[u].add(v)
             rows[v].add(u)
         if dropped:

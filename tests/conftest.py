@@ -1,4 +1,5 @@
-"""Shared hypothesis strategies for random instances.
+"""Shared hypothesis strategies for random instances, and brute-force
+references built from the definitions alone.
 
 Sizes stay small so the brute-force oracles remain usable inside
 property tests.
@@ -11,7 +12,7 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
-from hypercover import Graph, Hypergraph, prufer_decode
+from hypercover import Graph, Hypergraph, prufer_decode, strong_degree, strong_remove
 
 # Subprocesses (``python -m hypercover``, the demos) import this checkout's
 # package too, installed or not.
@@ -29,6 +30,29 @@ MALFORMED_HEADERS = {
     "missing-header": "e 1 2\n",
     "count-off-by-one": "p {tag} 2 2\ne 1 2\n",
 }
+
+
+def plain_degeneracy_bf(h):
+    """Maximum over nonempty restrictions of the minimum plain degree."""
+    best = 0
+    for mask in range(1, 1 << h.n):
+        subset = frozenset(v for v in range(h.n) if mask >> v & 1)
+        traces = {e & subset for e in h.edge_sets} - {frozenset()}
+        value = min(sum(1 for t in traces if v in t) for v in subset)
+        best = max(best, value)
+    return best
+
+
+def mighty_degeneracy_ref(h):
+    """The mighty degeneracy by its definition: the maximum, over every
+    removal set R (the empty one too), of the minimum strong degree in what
+    strongly removing R leaves."""
+    best = 0
+    for mask in range(1 << h.n):
+        sub = strong_remove(h, [v for v in range(h.n) if mask >> v & 1])
+        if sub is not None:
+            best = max(best, min(strong_degree(sub, v) for v in sub.vertices))
+    return best
 
 
 @st.composite

@@ -37,6 +37,8 @@ from hypercover import (
 )
 from hypercover.core import dual
 
+from conftest import plain_degeneracy_bf
+
 
 def gate(capsys, label: str, ok: bool, extra: str = "") -> bool:
     verdict = "PASS" if ok else "FAIL"
@@ -56,16 +58,6 @@ def coverable_instances():
         size = 2 + i % 4
         out.append(random_hypergraph(n, m, size, seed=1000 + i, cover_feasible=True))
     return out
-
-
-def plain_degeneracy_bf(h):
-    best = 0
-    for mask in range(1, 1 << h.n):
-        subset = frozenset(v for v in range(h.n) if mask >> v & 1)
-        traces = {e & subset for e in h.edge_sets} - {frozenset()}
-        value = min(sum(1 for t in traces if v in t) for v in subset)
-        best = max(best, value)
-    return best
 
 
 def test_gap_family_separates_the_parameters(capsys):

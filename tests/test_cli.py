@@ -111,6 +111,11 @@ class TestCommands:
         assert json.loads(run_cli("degeneracy", "--kind", "mighty-bf", "--json", stdin=GAP5).stdout)["value"] == 2
         assert json.loads(run_cli("degeneracy", "--kind", "strong-bf", "--json", stdin=GAP5).stdout)["value"] == 3
 
+    @pytest.mark.parametrize("kind", ["strong", "plain"])
+    def test_degeneracy_puts_vertices_in_no_edge_first(self, kind):
+        result = run_cli("degeneracy", "--kind", kind, stdin="p hg 5 1\ne 2 4\n")
+        assert result.stdout == f"kind: {kind}\nvalue: 1\norder: 1 3 5 2 4\nstep_values: 0 0 0 1 1\n"
+
     def test_cover(self):
         payload = json.loads(run_cli("cover", "--json", "--mighty", stdin=GAP5).stdout)
         assert payload["cover"] == [1, 2]

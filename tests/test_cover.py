@@ -62,6 +62,7 @@ class TestGreedyCover:
         assert total <= cert.bound_factor * len(cert.independent)
         assert cert.mighty_factor is not None
         assert cert.mighty_factor <= cert.bound_factor
+        assert max(cert.per_step_edges) <= cert.mighty_factor
         assert total <= cert.mighty_factor * len(cert.independent)
 
     @given(covering_hypergraphs())

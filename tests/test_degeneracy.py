@@ -8,6 +8,7 @@ brute force.
 
 from __future__ import annotations
 
+import sys
 from unittest import mock
 
 import pytest
@@ -32,24 +33,13 @@ from hypercover._trace_index import TraceIndex
 from hypercover.degeneracy import EliminationOrder
 from hypercover.errors import TooLargeError
 
-from conftest import covering_hypergraphs, hypergraphs
+from conftest import covering_hypergraphs, hypergraphs, mighty_degeneracy_ref, plain_degeneracy_bf
 
 
 def colliding_keys():
     """Patch every Zobrist key to zero, so all traces share one hash and
     only the exact member-set compare tells them apart."""
     return mock.patch.object(_trace_index, "_zobrist_keys", lambda n: [0] * n)
-
-
-def plain_degeneracy_bf(h):
-    """Maximum over nonempty restrictions of the minimum plain degree."""
-    best = 0
-    for mask in range(1, 1 << h.n):
-        subset = [v for v in range(h.n) if mask >> v & 1]
-        traces = {e & frozenset(subset) for e in h.edge_sets} - {frozenset()}
-        value = min(sum(1 for t in traces if v in t) for v in subset)
-        best = max(best, value)
-    return best
 
 
 class TestEliminationOrder:
@@ -84,6 +74,21 @@ class TestFrozenValues:
         assert eo.order == (0, 1, 2)
         assert eo.step_values == (0, 0, 0)
         assert eo.value == 0
+
+    def test_vertices_in_no_edge_never_enter_the_index(self):
+        sizes = []
+
+        class Recording(TraceIndex):
+            def __init__(self, h, strong=True):
+                sizes.append(h.n)
+                super().__init__(h, strong)
+
+        h = Hypergraph.from_edges(100000, [(1, 3), (3, 7)])
+        with mock.patch.object(sys.modules["hypercover.degeneracy"], "TraceIndex", Recording):
+            eo = strong_degeneracy(h)
+        assert sizes == [3]
+        assert eo.order[:3] == (0, 2, 4) and eo.order[-3:] == (1, 3, 7)
+        assert eo.step_values[-4:] == (0, 1, 1, 1)
 
     def test_single_edge(self):
         h = Hypergraph.from_edges(3, [(0, 1, 2)])
@@ -122,6 +127,10 @@ class TestPeelingMatchesDefinitions:
     @settings(max_examples=40)
     def test_plain_value_matches_brute_force(self, h):
         assert degeneracy(h).value == plain_degeneracy_bf(h)
+
+    @given(hypergraphs(max_n=8))
+    def test_mighty_value_matches_its_definition(self, h):
+        assert mighty_degeneracy_bf(h) == mighty_degeneracy_ref(h)
 
     @given(hypergraphs())
     def test_parameter_chain(self, h):

@@ -121,6 +121,16 @@ def test_tiny_graph_header_with_a_huge_vertex_count_fails_fast(tmp_path, capsys,
     assert peak < 64 * 2**20
 
 
+@pytest.mark.parametrize("kind, line", [("dominating", "valid: False"), ("2-packing", "valid: True")])
+def test_graph_checks_on_a_tiny_file_with_a_huge_vertex_count_stay_small(tmp_path, capsys, kind, line):
+    path = tmp_path / "huge.gr"
+    path.write_text("p edge 200000 0")
+    code, peak = _main_with_peak(["verify", "--kind", kind, "--ids", "1", "--input", str(path)])
+    assert code == 0
+    assert line in capsys.readouterr().out.splitlines()
+    assert peak < 64 * 2**20
+
+
 NOT_UTF8 = b"p hg 2 1\ne 1 \xff\n"
 NOT_UTF8_ERROR = "error: SyntaxError: input is not UTF-8 text"
 
