@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from itertools import islice
 from typing import Any
 
 from .core import (
@@ -61,8 +62,10 @@ def _load_hypergraph(args: argparse.Namespace):
     return parse_hypergraph(_read_text(args), strict=args.strict)
 
 
-def _one_based(ids) -> list[int]:
-    return [i + 1 for i in ids]
+def _one_based(ids) -> map:
+    """The ids shifted to 1-based, lazily: :func:`_emit` writes them a chunk
+    at a time."""
+    return map((1).__add__, ids)
 
 
 def _zero_based(ids: list[int]) -> list[int]:
@@ -72,18 +75,29 @@ def _zero_based(ids: list[int]) -> list[int]:
     return [i - 1 for i in ids]
 
 
+_CHUNK = 4096
+
+
 def _emit(payload: dict[str, Any], as_json: bool) -> None:
     if as_json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2, default=list))
         return
+    write = sys.stdout.write
     for key, value in payload.items():
+        write(f"{key}: ")
         if isinstance(value, dict):
-            body = " ".join(f"{k}={v}" for k, v in value.items())
-        elif isinstance(value, (list, tuple)):
-            body = " ".join(str(v) for v in value)
+            write(" ".join(f"{k}={v}" for k, v in value.items()))
+        elif isinstance(value, (list, tuple, map)):
+            # A chunk at a time: one string per value of a long list would
+            # outweigh the solve.
+            words = map(str, value)
+            sep = ""
+            while chunk := " ".join(islice(words, _CHUNK)):
+                write(sep + chunk)
+                sep = " "
         else:
-            body = str(value)
-        print(f"{key}: {body}")
+            write(str(value))
+        write("\n")
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -108,7 +122,7 @@ def _cmd_degeneracy(args: argparse.Namespace) -> int:
             "kind": args.kind,
             "value": order.value,
             "order": _one_based(order.order),
-            "step_values": list(order.step_values),
+            "step_values": order.step_values,
         }
     else:
         value = mighty_degeneracy_bf(h) if args.kind == "mighty-bf" else strong_degeneracy_bf(h)
@@ -193,9 +207,9 @@ def _cmd_vc(args: argparse.Namespace) -> int:
     payload = {
         "value": value,
         "witness": {
-            "set": _one_based(witness.set),
+            "set": list(_one_based(witness.set)),
             "shattered": witness.shattered,
-            "missing_subset": None if witness.missing_subset is None else _one_based(witness.missing_subset),
+            "missing_subset": None if witness.missing_subset is None else list(_one_based(witness.missing_subset)),
         },
     }
     _emit(payload, args.json)
@@ -290,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = commands.add_parser("verify", help="validate a candidate solution")
     ver.add_argument("--kind", choices=CHECK_KINDS + GRAPH_CHECK_KINDS, required=True)
-    ver.add_argument("--ids", type=int, nargs="*", default=[], help="1-based ids of the candidate")
+    ver.add_argument("--ids", nargs="*", default=[], help="1-based ids of the candidate")
     _add_input_arguments(ver)
     ver.set_defaults(func=_cmd_verify)
 
@@ -307,12 +321,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_ids(args: argparse.Namespace) -> str | None:
+    """Turn the ``--ids`` tokens into integers, or return the usage error.
+
+    ``--ids`` takes every token after it, so in ``verify --ids 1 FILE`` it
+    holds the input too: with no input given otherwise, a last token that is
+    not an integer is the input."""
+    tokens, args.ids = args.ids, []
+    for k, token in enumerate(tokens):
+        try:
+            args.ids.append(int(token))
+        except ValueError:
+            if k < len(tokens) - 1 or args.input is not None or args.input_option is not None:
+                return f"argument --ids: invalid int value: {token!r}"
+            args.input = token
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    if args.command == "verify" and (error := _read_ids(args)):
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if getattr(args, "input_option", None) is not None and getattr(args, "input", None) not in (None, "-"):
         print("error: give the input either positionally or via --input, not both", file=sys.stderr)
         return 2

@@ -121,6 +121,11 @@ class Hypergraph:
     def vertices(self) -> tuple[int, ...]:
         return tuple(range(self.n))
 
+    @cached_property
+    def _covered(self) -> frozenset[int]:
+        """The vertices that lie in some edge."""
+        return frozenset(chain.from_iterable(self.edges))
+
 
 @dataclass(frozen=True)
 class SubHypergraph:
@@ -256,7 +261,7 @@ def _reject_isolated(h: Hypergraph) -> None:
     """Raise for the smallest vertex in no edge.  Reads only the edges, and
     the smallest missing vertex is at most the number seen, so the cost is
     O(sum of edge sizes) however large ``n`` is."""
-    seen = set(chain.from_iterable(h.edges))
+    seen = h._covered
     if len(seen) < h.n:
         v = next(v for v in range(h.n) if v not in seen)
         raise IsolatedVertexError("vertex {} lies in no edge", v)

@@ -42,7 +42,7 @@ def _peel(h: Hypergraph, strong: bool, strong_removal: bool = False) -> tuple[El
     the popped vertices with their degrees and the representatives of the
     maximal traces removed.  Vertices in no edge have degree 0 throughout,
     any other at least 1, so they come first and never enter the index."""
-    seen = set().union(*h.edges)
+    seen = h._covered
     order = [v for v in range(h.n) if v not in seen] if len(seen) < h.n else []
     values = [0] * len(order)
     ids = sorted(seen) if order else range(h.n)

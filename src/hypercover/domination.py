@@ -247,15 +247,15 @@ def _is_tree(g: Graph) -> bool:
 def tree_domination(g: Graph, kind: str = "closed") -> DominationCertificate:
     """Minimum dominating set and maximum 2-packing of a tree, same size.
 
-    This is the greedy cover of the neighborhood hypergraph specialized to
-    trees: a vertex whose strong degree is 1 always exists, its unique
-    maximal trace is read off local live-neighbor counts, and the trace's
-    smallest-id generator becomes the dominator.  It yields the generic
-    greedy's certificate (dominators are the cover edges' smallest
-    generators) and stays for speed: ``greedy_cover(neighborhood_hypergraph(t))``
-    is 4.5-6x (closed) and 2.5-3.2x (open) slower on ``random_tree(5000, 42)``,
-    and 9-12x and 2.1-2.6x on a 5000-vertex tree with 40 hubs (CPU time, best
-    of 5 or 9 in three runs, CPython 3.11 on a 2-core Intel Xeon VM).
+    This is the greedy cover of the neighborhood hypergraph, run on live
+    neighborhoods.  A live ``x`` lies in ``u``'s neighborhood exactly when
+    ``u`` lies in ``x``'s, so the traces through ``x`` are the live parts of
+    the neighborhoods of ``x``'s own generators, and ``x`` has strong degree
+    1 exactly when the largest of them holds all the others.  Each step takes
+    the smallest such ``x`` into the packing, the smallest generator of its
+    trace into the dominating set, and removes the trace.  The certificate
+    is the generic greedy's (dominators are the cover edges' smallest
+    generators, in step order).
 
     Raises:
         NotATreeError: the graph is not connected with ``n - 1`` edges.
@@ -269,89 +269,58 @@ def tree_domination(g: Graph, kind: str = "closed") -> DominationCertificate:
     if g.n == 1 and kind == "open":
         raise SingleVertexOpenError("a single vertex has no open neighborhood")
 
-    adj = g.adj
+    # gens[v]: the vertices whose neighborhood holds v, which is v's own
+    # neighborhood; hood[u]: the live part of u's, kept for dead u too.
+    gens = [(v, *row) for v, row in enumerate(g.adj)] if kind == "closed" else g.adj
+    hood = [set(row) for row in gens]
     live = [True] * g.n
-    lnc = [len(adj[v]) for v in range(g.n)]  # live-neighbor counts, ghosts too
     remaining = g.n
     dominating: list[int] = []
     packing: list[int] = []
 
-    def live_hood(v: int) -> set[int]:
-        hood = {u for u in adj[v] if live[u]}
-        if kind == "closed" and live[v]:
-            hood.add(v)
-        return hood
+    def sole_trace(x: int) -> set[int] | None:
+        """The maximal trace through live ``x`` if it is the only one."""
+        traces = [hood[u] for u in gens[x]]
+        top = max(traces, key=len)
+        # max returns the first largest, so this drops top itself, which
+        # top.issuperset would walk in full.
+        traces.remove(top)
+        return top if all(map(top.issuperset, traces)) else None
 
-    def strong_degree_local(x: int) -> int:
-        # Closed kind: traces through x come from x itself, live neighbors,
-        # and ghost neighbors; a tree has no 4-cycles, so two of them only
-        # nest when the smaller one collapses onto x's side.
-        if kind == "open":
-            return max(1, sum(1 for u in adj[x] if lnc[u] >= 2))
-        a = lnc[x]
-        ghosts = sum(1 for u in adj[x] if not live[u] and lnc[u] >= 2)
-        if a == 0:
-            return max(1, ghosts)
-        if a == 1:
-            return 1 + ghosts
-        bulky = sum(1 for u in adj[x] if live[u] and lnc[u] >= 2)
-        return 1 + bulky + ghosts
-
-    def unique_trace(x: int) -> set[int]:
-        if kind == "open":
-            wide = [u for u in adj[x] if lnc[u] >= 2]
-            return live_hood(wide[0]) if wide else {x}
-        a = lnc[x]
-        if a == 0:
-            wide = [u for u in adj[x] if not live[u] and lnc[u] >= 2]
-            return live_hood(wide[0]) if wide else {x}
-        if a == 1:
-            z = next(u for u in adj[x] if live[u])
-            return live_hood(z)
-        return live_hood(x)
-
-    # Lazy heap of candidate ids: every live vertex with local strong degree
-    # 1 is present (stale entries are filtered on pop), so popping yields the
-    # smallest such id.  A step only perturbs the degrees of vertices within
-    # two hops of the removed trace, and only those are re-examined.
-    ready = [v for v in range(g.n) if strong_degree_local(v) == 1]
+    # Lazy heap of candidate ids: every live vertex of strong degree 1 is
+    # present (dead ones are skipped on pop), so popping yields the smallest
+    # one.  A trace inside another stays inside it as both shrink, so strong
+    # degrees never rise and a vertex, once queued, needs no second look.
+    ready = [v for v in range(g.n) if sole_trace(v) is not None]
+    queued = [False] * g.n
+    for v in ready:
+        queued[v] = True
     heapify(ready)
     while remaining:
-        x = None
-        while ready:
-            v = heappop(ready)
-            if live[v] and strong_degree_local(v) == 1:
-                x = v
-                break
-        if x is None:
+        trace = None
+        while ready and trace is None:
+            x = heappop(ready)
+            if live[x]:
+                trace = sole_trace(x)
+        if trace is None:
             raise CertificateError("no strong-degree-1 vertex in a tree restriction")
-        trace = unique_trace(x)
-        # Scanning candidate generators by ascending vertex id reproduces the
-        # smallest-edge-id representative rule of the hypergraph greedy.
-        candidates = sorted({x, *adj[x]}) if kind == "closed" else adj[x]
-        dominator = next((v for v in candidates if live_hood(v) == trace), None)
-        if dominator is None:
-            raise CertificateError("trace without a generating neighborhood")
+        # Edge ids follow first-generator order, so the trace's smallest
+        # generator names the hypergraph greedy's representative.
         packing.append(x)
-        dominating.append(dominator)
-        for w in trace:
+        dominating.append(min(u for u in gens[x] if hood[u] == trace))
+        shrunk = set()
+        for w in list(trace):
             live[w] = False
             remaining -= 1
-        touched = set()
-        for w in trace:
-            for u in adj[w]:
-                lnc[u] -= 1
-                touched.add(u)
-        affected = set()
-        for u in touched:
-            if live[u]:
-                affected.add(u)
-            for y in adj[u]:
-                if live[y]:
-                    affected.add(y)
-        for y in affected:
-            if strong_degree_local(y) == 1:
-                heappush(ready, y)
+            for u in gens[w]:
+                hood[u].discard(w)
+            shrunk.update(gens[w])
+        # Only a vertex in a shrunk hood can change its strong degree.
+        for u in shrunk:
+            for y in hood[u]:
+                if not queued[y] and sole_trace(y) is not None:
+                    queued[y] = True
+                    heappush(ready, y)
 
     if len(set(dominating)) != len(dominating):
         raise CertificateError("a dominator was selected twice")

@@ -99,8 +99,10 @@ def graphs(draw, max_n: int = 9):
 
 
 @st.composite
-def trees(draw, min_n: int = 1, max_n: int = 12):
-    """Uniform-ish random labeled tree via a drawn builder sequence."""
+def trees(draw, min_n: int = 1, max_n: int = 12, hubs: int | None = None):
+    """Uniform-ish random labeled tree via a drawn Pruefer sequence.  With
+    ``hubs`` the sequence names only vertices below it, so every other
+    vertex is a leaf and the hubs share large neighborhoods."""
     n = draw(st.integers(min_value=min_n, max_value=max_n))
     if n == 1:
         return Graph(1, ((),))
@@ -108,7 +110,7 @@ def trees(draw, min_n: int = 1, max_n: int = 12):
         return Graph.from_edges(2, [(0, 1)])
     seq = draw(
         st.lists(
-            st.integers(min_value=0, max_value=n - 1),
+            st.integers(min_value=0, max_value=min(hubs or n, n) - 1),
             min_size=n - 2,
             max_size=n - 2,
         )

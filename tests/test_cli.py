@@ -174,6 +174,17 @@ class TestCommands:
         assert result.returncode == 0
         assert "valid: True" in result.stdout
 
+    def test_verify_input_may_follow_the_ids(self, tmp_path):
+        path = tmp_path / "p4.gr"
+        path.write_text(P4)
+        before = run_cli("verify", "--kind", "dominating", str(path), "--ids", "2", "3")
+        after = run_cli("verify", "--kind", "dominating", "--ids", "2", "3", str(path))
+        assert after.returncode == before.returncode == 0
+        assert after.stdout == before.stdout == "kind: dominating\nvalid: True\n"
+        bad = run_cli("verify", "--kind", "dominating", "--ids", "1", "x", "2", stdin=P4)
+        assert bad.returncode == 2
+        assert bad.stderr == "error: argument --ids: invalid int value: 'x'\n"
+
     def test_verify_bad_id(self):
         result = run_cli("verify", "--kind", "edge-cover", "--ids", "9", stdin=GAP5)
         assert result.returncode == 1

@@ -16,7 +16,6 @@ from hypercover import (
     cycle_graph,
     exact,
     format_graph,
-    greedy_cover,
     neighborhood_equivalence_audit,
     neighborhood_hypergraph,
     parse_graph,
@@ -25,6 +24,8 @@ from hypercover import (
     strong_degeneracy,
     tree_domination,
 )
+from hypercover.degeneracy import _peel
+from hypercover.domination import _neighborhoods
 from hypercover.errors import (
     FormatError,
     FormatWarning,
@@ -41,14 +42,12 @@ from conftest import MALFORMED_HEADERS, graphs, trees
 
 def assert_generic_agrees(t, kind, cert):
     """The tree solver's certificate is the generic greedy's on the
-    neighborhood hypergraph: the same packing in the same order, and the
-    dominators are the cover edges' smallest generators (the first name in
-    each edge label)."""
-    h = neighborhood_hypergraph(t, kind)
-    generic = greedy_cover(h)
-    assert cert.packing == generic.independent
-    smallest = sorted(int(h.edge_labels[i].split(",")[0][3:-1]) - 1 for i in generic.cover)
-    assert sorted(cert.dominating) == smallest
+    neighborhood hypergraph: the same packing, and as dominators the
+    smallest generators of the cover edges, both in step order."""
+    h, generators = _neighborhoods(t, kind)
+    order, taken = _peel(h, strong=True, strong_removal=True)
+    assert cert.packing == order.order
+    assert cert.dominating == tuple(generators[i][0] for i in taken)
 
 
 class TestGraph:
@@ -242,6 +241,13 @@ class TestTreeDomination:
         assert check_graph(t, "total-dominating", cert.dominating)
         assert check_graph(t, "open-2-packing", cert.packing)
         assert len(cert.dominating) == len(cert.packing)
+
+    @pytest.mark.parametrize("kind", ["closed", "open"])
+    @given(t=trees(min_n=2, max_n=60, hubs=4))
+    @settings(max_examples=40)
+    def test_hub_tree_certificates(self, kind, t):
+        """Hubs share large neighborhoods, which uniform trees rarely build."""
+        assert_generic_agrees(t, kind, tree_domination(t, kind))
 
     @given(trees(max_n=9))
     @settings(max_examples=30)

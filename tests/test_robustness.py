@@ -131,6 +131,19 @@ def test_graph_checks_on_a_tiny_file_with_a_huge_vertex_count_stay_small(tmp_pat
     assert peak < 64 * 2**20
 
 
+def test_degeneracy_output_of_a_tiny_file_with_a_huge_vertex_count_stays_small(tmp_path, capsys):
+    # The order names every vertex, so the output is O(n) by nature; writing
+    # it a chunk at a time keeps the peak near the solve's own (12.2 MB).
+    path = tmp_path / "huge.hg"
+    path.write_text("p hg 200000 0")
+    code, peak = _main_with_peak(["degeneracy", str(path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[:2] == ["kind: strong", "value: 0"]
+    assert lines[2] == "order: " + " ".join(map(str, range(1, 200001)))
+    assert peak < 20 * 2**20
+
+
 NOT_UTF8 = b"p hg 2 1\ne 1 \xff\n"
 NOT_UTF8_ERROR = "error: SyntaxError: input is not UTF-8 text"
 
