@@ -10,26 +10,25 @@ flags, and per-vertex degrees across deletions instead.
 Each trace has a stable integer id (at build time, the id of the edge that
 generates it) holding a mutable member set, its representative (smallest
 generating edge id), a maximality flag, and a 64-bit XOR of per-vertex
-random keys (Zobrist hashing).  Deleting ``x`` shrinks every trace through
-``x`` in place: discarding ``x`` and XOR-ing its key out are O(1) and the id
-stays, so no other vertex's incidence set changes.  A hash -> id table,
-confirmed by an exact member-set compare, finds the traces that became
-equal to a survivor.  A deletion therefore costs O(#traces through x), plus
-|t| per merged trace, plus one dominance scan per re-checked trace.
+random keys (Zobrist hashing).  Deleting a set ``R`` shrinks each trace
+meeting ``R`` in place, once: discarding a member and XOR-ing its key out
+are O(1) and the id stays, so no other vertex's incidence set changes.  A
+hash -> id table, confirmed by an exact member-set compare, finds the
+traces that became equal.  A deletion costs the sum over ``x`` in ``R`` of
+the traces through ``x``, plus |t| per merged trace, plus one dominance
+scan per re-checked trace.
 
-The transition rules rely on three facts about deleting one vertex ``x``:
+The transition rules rely on three facts about deleting a set ``R``:
 
-* every trace through ``x`` shrinks by exactly ``x`` and the shrunken
-  traces of distinct traces stay distinct, so a merge can only pair a
-  shrunken trace with a surviving trace it strictly contained before (that
-  survivor was therefore not maximal);
-* containments between traces never break under deletion, so a trace that
-  neither shrank nor merged keeps its maximality status, and so does a
-  non-maximal trace through ``x`` (``t < u`` puts ``x`` in ``u``, so
-  ``t - x < u - x``);
-* only a maximal trace that shrank without merging, or the survivor of a
-  merge with a maximal trace, can change status, so only those are
-  re-checked.
+* a trace meeting ``R`` loses exactly its members in ``R``; a merge joins
+  traces left equal: two shrunken ones, or a shrunken one and a trace
+  outside ``R`` that it strictly contained (so that one was not maximal);
+* containments never break, as ``t < u`` gives ``t - R <= u - R``: a trace
+  that neither shrank nor merged keeps its status, and a shrunken
+  non-maximal trace stays non-maximal unless the maximal trace above it
+  merged with it;
+* only a maximal trace that shrank, or the survivor of a merge with a
+  maximal trace, can change status, so only those are re-checked.
 """
 
 from __future__ import annotations
@@ -164,11 +163,9 @@ class TraceIndex:
         out.sort()
         return out
 
-    def delete_vertex(self, x: int) -> None:
-        """Restrict to the live vertices minus ``x``."""
-        if not self.alive[x]:
-            raise ValueError(f"vertex {x} already deleted")
-        self.alive[x] = False
+    def delete_vertex(self, *gone: int) -> None:
+        """Restrict to the live vertices minus ``gone``."""
+        alive = self.alive
         members = self._members
         hashes = self._hash
         by_hash = self._by_hash
@@ -176,27 +173,30 @@ class TraceIndex:
         rep = self._rep
         maximal = self._maximal
         vertex_traces = self._vertex_traces
-        key = self._keys[x]
-        affected = vertex_traces[x]
-        vertex_traces[x] = set()
-
-        # Shrink in place first, so the lookups below never meet a trace
-        # through x under its old hash.
-        shrunk: list[int] = []
-        for t in affected:
-            self._unlink(t)
-            s = members[t]
-            s.discard(x)
-            if s:
+        # Shrink every trace through gone, unlinked under its old hash first,
+        # so the lookups below never meet a trace that is yet to be placed.
+        touched: set[int] = set()
+        for x in gone:
+            if not alive[x]:
+                raise ValueError(f"vertex {x} already deleted")
+            alive[x] = False
+            key = self._keys[x]
+            for t in vertex_traces[x]:
+                if t not in touched:
+                    touched.add(t)
+                    self._unlink(t)
+                members[t].discard(x)
                 hashes[t] ^= key
-                shrunk.append(t)
-            else:
-                members[t] = None
+            vertex_traces[x] = set()
 
         delta: dict[int, int] = {}
         recheck: list[int] = []
-        for t in shrunk:
+        for t in touched:
             s = members[t]
+            if not s:
+                # Emptied: unlinked above, so no chain or scan meets it.
+                members[t] = None
+                continue
             code = hashes[t]
             u = by_hash.get(code, -1)
             while u >= 0 and members[u] != s:
@@ -207,7 +207,7 @@ class TraceIndex:
                 if maximal[t]:
                     recheck.append(t)
                 continue
-            # Merge t into the survivor u, which was strictly inside t.
+            # Merge t into the survivor u, which now has the same members.
             members[t] = None
             if rep[t] < rep[u]:
                 rep[u] = rep[t]

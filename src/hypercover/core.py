@@ -70,7 +70,8 @@ class Hypergraph:
                 raise VertexOutOfRangeError(f"edge {edge!r} leaves vertex range 0..{self.n - 1}")
             # A sorted tuple is the canonical form of its vertex set.
             if edge in seen:
-                raise DuplicateEdgeError(f"edge {edge!r} occurs twice")
+                fields = ", ".join(["{}"] * len(edge)) + ("," if len(edge) == 1 else "")
+                raise DuplicateEdgeError(f"edge ({fields}) occurs twice", *edge)
             seen.add(edge)
         if self.edge_labels is not None and len(self.edge_labels) != len(self.edges):
             raise ParameterError("edge_labels must match the edge list in length")

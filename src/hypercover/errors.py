@@ -58,7 +58,7 @@ class VertexOutOfRangeError(HypercoverError):
     code = "VertexOutOfRange"
 
 
-class DuplicateEdgeError(HypercoverError):
+class DuplicateEdgeError(_IdError):
     """The same edge appears twice and strict mode is in effect."""
 
     code = "DuplicateEdge"

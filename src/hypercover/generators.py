@@ -119,7 +119,12 @@ def random_hypergraph(
     """
     if n < 1 or max_edge_size < 1 or m < 0:
         raise ParameterError("need n >= 1, max_edge_size >= 1, m >= 0")
-    available = sum(comb(n, k) for k in range(1, min(n, max_edge_size) + 1))
+    # Stop counting once m edges fit: only the error needs the full count.
+    available = 0
+    for k in range(1, min(n, max_edge_size) + 1):
+        available += comb(n, k)
+        if available >= m:
+            break
     if m > available:
         raise InfeasibleEdgeCountError(f"only {available} distinct edges exist")
     rng = random.Random(seed)

@@ -94,6 +94,12 @@ class TestInputPlumbing:
         assert strict.returncode == 1
         assert strict.stderr.startswith("error: DuplicateEdge")
 
+    @pytest.mark.parametrize("argv", [["cover"], ["exact", "--problem", "min-edge-cover"], ["verify", "--kind", "edge-cover"]])
+    def test_a_duplicate_edge_is_named_one_based(self, argv):
+        strict = run_cli(*argv, "--strict", stdin="p hg 3 3\ne 1 2\ne 2 1\ne 2 3\n")
+        assert strict.returncode == 1
+        assert strict.stderr == "error: DuplicateEdge: edge (1, 2) occurs twice\n"
+
     def test_unknown_subcommand(self):
         assert run_cli("solve").returncode == 2
 

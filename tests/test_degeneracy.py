@@ -161,27 +161,53 @@ class TestTraceIndex:
             for i, (t, rep) in enumerate(zip(sub.traces, sub.representatives))
         }
 
-    def check_records(self, h, order):
+    def check_records(self, h, parts):
+        """Delete each part with one call; after each, the traces and the
+        degrees must match the recomputed restriction."""
         for strong in (True, False):
             index = TraceIndex(h, strong=strong)
             live = set(range(h.n))
-            for x in order[:-1]:
-                index.delete_vertex(x)
-                live.remove(x)
+            for part in parts:
+                index.delete_vertex(*part)
+                live -= part
                 expected = self.snapshot(h, live)
                 got = index.traces()
                 if not strong:
                     got = {t: (rep, expected[t][1]) for t, (rep, _) in got.items()}
                 assert got == expected
+                sub = restrict(h, live)
+                count = strong_degree if strong else degree
+                assert {v: index.deg[v] for v in live} == {v: count(sub, v) for v in live}
+
+    @staticmethod
+    def singletons(h, data):
+        return [{x} for x in data.draw(st.permutations(range(h.n)))[:-1]]
+
+    @staticmethod
+    def disjoint_sets(h, data):
+        """Disjoint vertex sets whose deletion leaves at least one vertex."""
+        order = data.draw(st.permutations(range(h.n)))[:-1]
+        cuts = sorted(data.draw(st.sets(st.integers(min_value=1, max_value=max(1, len(order))), max_size=4)))
+        bounds = [0, *cuts, len(order)]
+        return [set(order[a:b]) for a, b in zip(bounds, bounds[1:]) if a < b]
 
     @given(hypergraphs(), st.data())
     def test_records_track_restrictions(self, h, data):
-        self.check_records(h, data.draw(st.permutations(range(h.n))))
+        self.check_records(h, self.singletons(h, data))
 
     @given(hypergraphs(), st.data())
     def test_records_track_restrictions_when_every_hash_collides(self, h, data):
         with colliding_keys():
-            self.check_records(h, data.draw(st.permutations(range(h.n))))
+            self.check_records(h, self.singletons(h, data))
+
+    @given(hypergraphs(), st.data())
+    def test_set_deletions_track_restrictions(self, h, data):
+        self.check_records(h, self.disjoint_sets(h, data))
+
+    @given(hypergraphs(), st.data())
+    def test_set_deletions_track_restrictions_when_every_hash_collides(self, h, data):
+        with colliding_keys():
+            self.check_records(h, self.disjoint_sets(h, data))
 
     @given(hypergraphs(), st.data())
     def test_degrees_track_restrictions(self, h, data):
@@ -194,6 +220,14 @@ class TestTraceIndex:
             sub = restrict(h, live)
             for v in live:
                 assert index.deg[v] == strong_degree(sub, v)
+
+    def test_two_traces_that_shrink_to_one_merge(self):
+        # {0, 1} and {0, 2} both shrink to {0}: neither was inside the other.
+        index = TraceIndex(Hypergraph(3, ((0, 1), (0, 2))), strong=True)
+        index.delete_vertex(1, 2)
+        assert index.traces() == {frozenset({0}): (0, True)}
+        assert index.deg[0] == 1
+        assert index.pop_min() == (1, 0)
 
     @given(hypergraphs())
     def test_pop_min_reports_current_minimum(self, h):

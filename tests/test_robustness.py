@@ -5,6 +5,7 @@ huge vertex counts, and the file formats exactly as the README shows them.
 
 from __future__ import annotations
 
+import json
 import re
 import subprocess
 import sys
@@ -142,6 +143,27 @@ def test_degeneracy_output_of_a_tiny_file_with_a_huge_vertex_count_stays_small(t
     assert lines[:2] == ["kind: strong", "value: 0"]
     assert lines[2] == "order: " + " ".join(map(str, range(1, 200001)))
     assert peak < 20 * 2**20
+
+
+def test_degeneracy_json_of_a_tiny_file_with_a_huge_vertex_count_stays_small(tmp_path, capsys):
+    # Written a chunk at a time, the document never exists as one string.
+    path = tmp_path / "huge.hg"
+    path.write_text("p hg 200000 0")
+    code, peak = _main_with_peak(["degeneracy", "--json", str(path)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["order"] == list(range(1, 200001))
+    assert peak < 32 * 2**20
+
+
+def test_a_short_generator_call_stays_fast(capsys):
+    # Whether 3 edges fit is settled by the first binomial, not by all 16000.
+    start = time.process_time()
+    code = main(["gen", "hg", "--n", "16000", "--m", "3", "--max-size", "16000"])
+    elapsed = time.process_time() - start
+    assert code == 0
+    assert capsys.readouterr().out.startswith("p hg 16000 3\n")
+    assert elapsed < 5
 
 
 NOT_UTF8 = b"p hg 2 1\ne 1 \xff\n"
