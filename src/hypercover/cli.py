@@ -19,6 +19,7 @@ from typing import Any
 
 from .core import (
     CHECK_KINDS,
+    _decimals,
     check,
     dual,
     format_hypergraph,
@@ -26,7 +27,7 @@ from .core import (
     vc_dimension,
 )
 from .cover import greedy_cover, greedy_transversal
-from .degeneracy import degeneracy, mighty_degeneracy_bf, strong_degeneracy, strong_degeneracy_bf
+from .degeneracy import MIGHTY_BF_CAP, degeneracy, mighty_degeneracy_bf, strong_degeneracy, strong_degeneracy_bf
 from .domination import (
     GRAPH_CHECK_KINDS,
     NEIGHBORHOOD_KINDS,
@@ -285,7 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
     deg.set_defaults(func=_cmd_degeneracy)
 
     cov = commands.add_parser("cover", help="greedy edge cover with certified bound")
-    cov.add_argument("--mighty", action="store_true", help="attach the brute-force mighty factor when affordable")
+    cov.add_argument(
+        "--mighty",
+        action="store_true",
+        help=f"attach the mighty factor (up to {MIGHTY_BF_CAP} vertices): an exhaustive search between"
+        " the largest greedy step and the strong degeneracy, skipped when the two meet",
+    )
     _add_input_arguments(cov)
     cov.set_defaults(func=_cmd_cover)
 
@@ -331,11 +337,11 @@ def _read_ids(args: argparse.Namespace) -> str | None:
 
     ``--ids`` takes every token after it, so in ``verify --ids 1 FILE`` it
     holds the input too: with no input given otherwise, a last token that is
-    not an integer is the input."""
+    not an integer is the input.  Ids are written with the digits 0-9 alone."""
     tokens, args.ids = args.ids, []
     for k, token in enumerate(tokens):
         try:
-            args.ids.append(int(token))
+            args.ids += _decimals([token])
         except ValueError:
             if k < len(tokens) - 1 or args.input is not None or args.input_option is not None:
                 return f"argument --ids: invalid int value: {token!r}"

@@ -423,6 +423,19 @@ def _data_lines(text: str) -> Iterator[tuple[int, list[str]]]:
             yield lineno, tokens
 
 
+def _decimals(tokens: list[str]) -> list[int]:
+    """The integers that ``tokens`` spell with the digits 0-9 alone.
+
+    Raises:
+        ValueError: some token holds anything else.  ``int`` alone would
+            also take a sign, ``_`` separators and non-ASCII digits.
+    """
+    joined = "".join(tokens)
+    if not (joined.isascii() and joined.isdigit()):
+        raise ValueError(f"not a decimal number: {tokens!r}")
+    return list(map(int, tokens))
+
+
 def _read_header(lines: Iterator[tuple[int, list[str]]], tag: str) -> tuple[int, int]:
     """The vertex and edge counts of the ``p <tag> <n> <m>`` line that must
     open ``lines`` (from :func:`_data_lines`)."""
@@ -433,11 +446,9 @@ def _read_header(lines: Iterator[tuple[int, list[str]]], tag: str) -> tuple[int,
     if len(tokens) != 4 or tokens[0] != "p" or tokens[1] != tag:
         raise FormatError(f"line {lineno}: expected header {grammar}")
     try:
-        n, m = int(tokens[2]), int(tokens[3])
+        n, m = _decimals(tokens[2:])
     except ValueError:
-        raise FormatError(f"line {lineno}: header counts must be integers") from None
-    if n < 0 or m < 0:
-        raise FormatError(f"line {lineno}: header counts must be nonnegative")
+        raise FormatError(f"line {lineno}: header counts must be written with the digits 0-9") from None
     return n, m
 
 
@@ -465,9 +476,9 @@ def parse_hypergraph(text: str, strict: bool = True) -> Hypergraph:
         if len(tokens) == 1:
             raise EmptyEdgeError(f"line {lineno}: edge with no vertices")
         try:
-            ids = [int(t) for t in tokens[1:]]
+            ids = _decimals(tokens[1:])
         except ValueError:
-            raise FormatError(f"line {lineno}: vertex ids must be integers") from None
+            raise FormatError(f"line {lineno}: vertex ids must be written with the digits 0-9") from None
         for v in ids:
             if not 1 <= v <= n:
                 raise VertexOutOfRangeError(f"line {lineno}: vertex {v} outside 1..{n}")

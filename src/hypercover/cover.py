@@ -10,10 +10,15 @@ step sizes telescope into
     |C|  <=  sum of step sizes  <=  factor * |X|.
 
 A step size is the minimum strong degree of a restriction that strong
-removal reaches, so at most the mighty degeneracy, itself at most the
-strong degeneracy: the factor, tightened to the mighty value when that is
-affordable.  Since an edge cover is never smaller than an independent set,
-a run certifies both quantities.
+removal reaches, so the run holds the sandwich
+
+    largest step  <=  mighty degeneracy  <=  strong degeneracy,
+
+and the factor is the strong degeneracy, tightened to the mighty value when
+that is affordable.  The greedy runs first, so the mighty search starts at
+the largest step and stops at the strong degeneracy; when the two meet it
+searches nothing.  Since an edge cover is never smaller than an independent
+set, a run certifies both quantities.
 
 ``greedy_transversal`` runs the same greedy on the dual hypergraph, turning
 the cover into a transversal and the independent set into a matching.
@@ -24,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Hypergraph, _reject_isolated, check, dual
-from .degeneracy import MIGHTY_BF_CAP, _peel, mighty_degeneracy_bf, strong_degeneracy
+from .degeneracy import MIGHTY_BF_CAP, _best_restriction, _peel, strong_degeneracy
 from .errors import CertificateError
 
 
@@ -75,8 +80,9 @@ class TransversalCertificate:
 def greedy_cover(h: Hypergraph, mighty: bool = False) -> CoverCertificate:
     """Run the strong-degree greedy and return a self-checked certificate.
 
-    With ``mighty=True`` the brute-force mighty value is attached when the
-    instance is small enough.
+    With ``mighty=True`` the mighty value is attached when the instance has
+    at most ``MIGHTY_BF_CAP`` vertices, searched between the largest step
+    and the strong degeneracy.
 
     Raises:
         IsolatedVertexError: some vertex lies in no edge.
@@ -84,13 +90,16 @@ def greedy_cover(h: Hypergraph, mighty: bool = False) -> CoverCertificate:
     """
     _reject_isolated(h)
     bound = strong_degeneracy(h).value
-    mighty_value = mighty_degeneracy_bf(h) if mighty and h.n <= MIGHTY_BF_CAP else None
-
     steps, cover_ids = _peel(h, strong=True, strong_removal=True)
     if len(set(cover_ids)) != len(cover_ids):
         raise CertificateError("an edge was selected twice")
     cover = tuple(sorted(cover_ids))
     independent, per_step = steps.order, steps.step_values
+    mighty_value = None
+    if mighty and h.n <= MIGHTY_BF_CAP:
+        # The sandwich: the largest step <= the mighty value <= the bound.
+        floor = max(per_step, default=0)
+        mighty_value = _best_restriction(h, MIGHTY_BF_CAP, strong_removal=True, floor=floor, ceiling=bound)
     total = sum(per_step)
     inequality = len(cover) <= total <= bound * len(independent) if independent else len(cover) == 0
     if mighty_value is not None and independent:

@@ -8,8 +8,19 @@ delete it, the greedy cover strongly removes it.  ``_best_restriction``,
 the one exhaustive search, scores every restriction the move reaches: the
 complements of the unions of singletons {v} (``strong_degeneracy_bf``) or
 of closed neighborhoods N[v] = {v} plus every edge through v
-(``mighty_degeneracy_bf``).  It shares nothing with the engine it checks;
-no subexponential algorithm is known for the mighty value, hence the caps.
+(``mighty_degeneracy_bf``).  No subexponential algorithm is known for the
+mighty value, hence the caps.
+
+The greedy cover knows bounds on the mighty value before it needs it (see
+:mod:`hypercover.cover`): its largest step below, the strong degeneracy
+above.  It hands them to the search as a floor and a ceiling.  Strong degree
+never rises under deletion (each maximal trace of a smaller restriction lies
+in its own maximal trace of the larger one), so every restriction whose
+minimum strong degree beats the floor lies inside the strong core one above
+the floor (Matula and Beck's core argument), and the search scores only
+those; it stops at the ceiling.  The public searches take neither bound and
+score everything: they share nothing with the engine, so tests can use them
+as references for it.
 """
 
 from __future__ import annotations
@@ -80,6 +91,16 @@ def degeneracy(h: Hypergraph) -> EliminationOrder:
     return _peel(h, strong=False)[0]
 
 
+def _maximal_traces(traces: set[int]) -> list[int]:
+    """The inclusion-maximal members of ``traces`` (nonempty masks), largest
+    first: a trace inside another lies in a maximal one kept before it."""
+    maximal: list[int] = []
+    for t in sorted(traces, key=int.bit_count, reverse=True):
+        if all(t | u != u for u in maximal):
+            maximal.append(t)
+    return maximal
+
+
 def _min_strong_degree(edge_masks: list[int], subset_mask: int, floor: int) -> int:
     """Minimum, over the vertices of ``subset_mask``, of the number of
     maximal traces containing the vertex; any value up to ``floor`` once the
@@ -87,11 +108,7 @@ def _min_strong_degree(edge_masks: list[int], subset_mask: int, floor: int) -> i
     traces = {mask & subset_mask for mask in edge_masks} - {0}
     if len(traces) <= floor:
         return floor
-    # Largest first: a trace inside another lies in a maximal one kept before.
-    maximal: list[int] = []
-    for t in sorted(traces, key=int.bit_count, reverse=True):
-        if all(t | u != u for u in maximal):
-            maximal.append(t)
+    maximal = _maximal_traces(traces)
     best = len(maximal)
     rest = subset_mask
     while rest and best > floor:
@@ -101,12 +118,52 @@ def _min_strong_degree(edge_masks: list[int], subset_mask: int, floor: int) -> i
     return best
 
 
-def _best_restriction(h: Hypergraph, max_vertices: int, strong_removal: bool) -> int:
+def _strong_core(edge_masks: list[int], subset_mask: int, k: int) -> int:
+    """The strong ``k``-core of the restriction to ``subset_mask``: its
+    largest subset in which every vertex has strong degree at least ``k``.
+    Strong degree never rises under deletion, so a vertex below ``k`` lies
+    in no such subset, and deleting every one of them until none is left
+    reaches the core."""
+    core = subset_mask
+    while core:
+        traces = {mask & core for mask in edge_masks} - {0}
+        if len(traces) < k:
+            return 0
+        maximal = _maximal_traces(traces)
+        low = 0
+        rest = core
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if sum(1 for t in maximal if t & bit) < k:
+                low |= bit
+        if not low:
+            break
+        core ^= low
+    return core
+
+
+def _best_restriction(
+    h: Hypergraph, max_vertices: int, strong_removal: bool, floor: int = 0, ceiling: int | None = None
+) -> int:
     """Maximum of the minimum strong degree over every nonempty restriction
-    reachable by deleting vertices, or by strong removal."""
+    reachable by deleting vertices, or by strong removal.
+
+    ``floor`` must be a value some reachable restriction attains and
+    ``ceiling`` one none exceeds; the search then scores only restrictions
+    inside the strong ``(floor + 1)``-core, the only ones that can beat the
+    floor, and stops once it reaches the ceiling."""
     if h.n > max_vertices:
         raise TooLargeError(f"{h.n} vertices exceed the cap of {max_vertices}")
+    if floor == ceiling:
+        return floor
     masks = [sum(1 << v for v in e) for e in h.edges]
+    full = (1 << h.n) - 1
+    # A restriction that beats the floor drops every vertex outside the core.
+    # The public searches (floor 0) score every restriction.
+    outside = full ^ _strong_core(masks, full, floor + 1) if floor else 0
+    if outside == full:
+        return floor
     # What one move drops: {v}, or N[v] under strong removal.
     drops = [1 << v for v in range(h.n)]
     if strong_removal:
@@ -117,10 +174,12 @@ def _best_restriction(h: Hypergraph, max_vertices: int, strong_removal: bool) ->
     gone = {0}
     for drop in drops:
         gone |= {g | drop for g in gone}
-    full = (1 << h.n) - 1
-    best = 0
-    for g in gone - {full}:
-        best = max(best, _min_strong_degree(masks, full & ~g, best))
+    best = floor
+    for g in gone:
+        if g & outside == outside and g != full:
+            best = max(best, _min_strong_degree(masks, full & ~g, best))
+            if best == ceiling:
+                break
     return best
 
 

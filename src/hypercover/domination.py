@@ -25,7 +25,16 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import Iterable
 
-from .core import Hypergraph, _check_edge_count, _data_lines, _merge_generated, _read_header, check, maximal_edges
+from .core import (
+    Hypergraph,
+    _check_edge_count,
+    _data_lines,
+    _decimals,
+    _merge_generated,
+    _read_header,
+    check,
+    maximal_edges,
+)
 from .errors import (
     CertificateError,
     FormatError,
@@ -128,9 +137,9 @@ def _read_graph(text: str) -> tuple[int, list[tuple[int, int]]]:
         if tokens[0] != "e" or len(tokens) != 3:
             raise FormatError(f"line {lineno}: expected 'e <u> <v>'")
         try:
-            u, v = int(tokens[1]), int(tokens[2])
+            u, v = _decimals(tokens[1:])
         except ValueError:
-            raise FormatError(f"line {lineno}: endpoints must be integers") from None
+            raise FormatError(f"line {lineno}: endpoints must be written with the digits 0-9") from None
         for w in (u, v):
             if not 1 <= w <= n:
                 raise VertexOutOfRangeError(f"line {lineno}: vertex {w} outside 1..{n}")

@@ -191,6 +191,12 @@ class TestCommands:
         assert bad.returncode == 2
         assert bad.stderr == "error: argument --ids: invalid int value: 'x'\n"
 
+    @pytest.mark.parametrize("token", ["1_0", "+1", "\u0663"])
+    def test_verify_ids_take_the_digits_0_to_9_only(self, token):
+        result = run_cli("verify", "--kind", "edge-cover", "--ids", token, "2", stdin=GAP5)
+        assert result.returncode == 2
+        assert result.stderr == f"error: argument --ids: invalid int value: {token!r}\n"
+
     def test_verify_bad_id(self):
         result = run_cli("verify", "--kind", "edge-cover", "--ids", "9", stdin=GAP5)
         assert result.returncode == 1

@@ -124,6 +124,14 @@ class TestTextFormat:
         with pytest.raises(FormatError):
             parse_hypergraph("p hg 2 2\ne 1 2\n")
 
+    @pytest.mark.parametrize("token", ["1_0", "+1", "\u0663"])
+    def test_counts_and_ids_take_the_digits_0_to_9_only(self, token):
+        # int() reads each of these: as 10, 1 and the Arabic-Indic digit 3.
+        with pytest.raises(FormatError, match="header counts"):
+            parse_hypergraph(f"p hg {token} 1\ne 1\n")
+        with pytest.raises(FormatError, match="vertex ids"):
+            parse_hypergraph(f"p hg 12 1\ne {token} 2\n")
+
     def test_edge_without_vertices(self):
         with pytest.raises(EmptyEdgeError):
             parse_hypergraph("p hg 2 1\ne\n")

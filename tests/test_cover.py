@@ -16,7 +16,7 @@ from hypercover import (
 )
 from hypercover.errors import IsolatedVertexError
 
-from conftest import covering_hypergraphs
+from conftest import covering_hypergraphs, mighty_degeneracy_ref
 
 
 class TestGreedyCover:
@@ -68,6 +68,26 @@ class TestGreedyCover:
     @given(covering_hypergraphs())
     def test_deterministic(self, h):
         assert greedy_cover(h) == greedy_cover(h)
+
+    @pytest.mark.parametrize(
+        "h, largest_step, mighty, bound",
+        [
+            # The bounds meet: nothing is searched.
+            (neighborhood_hypergraph(path_graph(4)), 1, 1, 1),
+            # The largest step is the mighty value, below the bound.
+            (gap_family(5), 2, 2, 3),
+            (Hypergraph.from_edges(4, [(0, 1), (2, 3), (0, 3), (1, 3)]), 1, 1, 2),
+            # The search rises above the largest step.
+            (Hypergraph.from_edges(6, [(1, 2), (0, 3), (4, 5), (1, 3), (0, 4), (0, 5)]), 1, 2, 2),
+        ],
+    )
+    def test_mighty_value_within_its_sandwich(self, h, largest_step, mighty, bound):
+        cert = greedy_cover(h, mighty=True)
+        assert (max(cert.per_step_edges), cert.mighty_factor, cert.bound_factor) == (largest_step, mighty, bound)
+
+    @given(covering_hypergraphs())
+    def test_mighty_value_matches_its_definition(self, h):
+        assert greedy_cover(h, mighty=True).mighty_factor == mighty_degeneracy_ref(h)
 
 
 class TestGreedyTransversal:

@@ -12,7 +12,7 @@ import sys
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypercover import (
@@ -30,7 +30,7 @@ from hypercover import (
 )
 from hypercover import _trace_index
 from hypercover._trace_index import TraceIndex
-from hypercover.degeneracy import EliminationOrder
+from hypercover.degeneracy import EliminationOrder, _strong_core
 from hypercover.errors import TooLargeError
 
 from conftest import covering_hypergraphs, hypergraphs, mighty_degeneracy_ref, plain_degeneracy_bf
@@ -139,6 +139,20 @@ class TestPeelingMatchesDefinitions:
             <= strong_degeneracy(h).value
             <= degeneracy(h).value
         )
+
+    @given(hypergraphs(), st.integers(min_value=0, max_value=4))
+    @example(Hypergraph.from_edges(6, [(v, v + 1) for v in range(5)]), 2)  # each round frees the next
+    def test_strong_core_matches_its_definition(self, h, k):
+        """The largest vertex set in which every vertex has strong degree at
+        least ``k``, by trying every subset."""
+        largest: tuple[int, ...] = ()
+        for mask in range(1, 1 << h.n):
+            subset = [v for v in range(h.n) if mask >> v & 1]
+            sub = restrict(h, subset)
+            if len(subset) > len(largest) and all(strong_degree(sub, v) >= k for v in subset):
+                largest = tuple(subset)
+        masks = [sum(1 << v for v in e) for e in h.edges]
+        assert _strong_core(masks, (1 << h.n) - 1, k) == sum(1 << v for v in largest)
 
     def test_size_caps(self):
         big = Hypergraph.from_edges(15, [(v, v + 1) for v in range(14)])

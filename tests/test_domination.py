@@ -99,6 +99,13 @@ class TestGraphFormat:
         with pytest.raises(FormatError):
             parse_graph("p edge 2 0\ne 1 2\n")
 
+    @pytest.mark.parametrize("token", ["1_0", "+1", "\u0663"])
+    def test_counts_and_endpoints_take_the_digits_0_to_9_only(self, token):
+        with pytest.raises(FormatError, match="header counts"):
+            parse_graph(f"p edge {token} 0\n")
+        with pytest.raises(FormatError, match="endpoints"):
+            parse_graph(f"p edge 12 1\ne {token} 2\n")
+
     @given(graphs())
     def test_round_trip(self, g):
         assert parse_graph(format_graph(g)) == g
