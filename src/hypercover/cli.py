@@ -254,6 +254,15 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return 0
 
 
+def _decimal(token: str) -> int:
+    """An integer option's value, written with the digits 0-9 alone as the
+    ids and the file counts are."""
+    try:
+        return _decimals([token])[0]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
+
+
 def _add_input_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("input", nargs="?", default=None, help="input file, or - for stdin (default)")
     sub.add_argument("--input", dest="input_option", metavar="PATH", help="alternative to the positional input")
@@ -268,15 +277,15 @@ def build_parser() -> argparse.ArgumentParser:
     gen = commands.add_parser("gen", help="write a generated instance to stdout")
     families = gen.add_subparsers(dest="family", required=True)
     gen_gap = families.add_parser("gap", help="family separating the mighty and strong parameters")
-    gen_gap.add_argument("--n", type=int, required=True)
+    gen_gap.add_argument("--n", type=_decimal, required=True)
     gen_tree = families.add_parser("tree", help="uniform random tree (.gr)")
-    gen_tree.add_argument("--n", type=int, required=True)
-    gen_tree.add_argument("--seed", type=int, default=0)
+    gen_tree.add_argument("--n", type=_decimal, required=True)
+    gen_tree.add_argument("--seed", type=_decimal, default=0)
     gen_hg = families.add_parser("hg", help="random hypergraph (.hg)")
-    gen_hg.add_argument("--n", type=int, required=True)
-    gen_hg.add_argument("--m", type=int, required=True)
-    gen_hg.add_argument("--max-size", type=int, required=True)
-    gen_hg.add_argument("--seed", type=int, default=0)
+    gen_hg.add_argument("--n", type=_decimal, required=True)
+    gen_hg.add_argument("--m", type=_decimal, required=True)
+    gen_hg.add_argument("--max-size", type=_decimal, required=True)
+    gen_hg.add_argument("--seed", type=_decimal, default=0)
     gen_hg.add_argument("--cover-feasible", action="store_true")
     gen.set_defaults(func=_cmd_gen)
 
@@ -289,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     cov.add_argument(
         "--mighty",
         action="store_true",
-        help=f"attach the mighty factor (up to {MIGHTY_BF_CAP} vertices): an exhaustive search between"
-        " the largest greedy step and the strong degeneracy, skipped when the two meet",
+        help=f"attach the mighty factor (up to {MIGHTY_BF_CAP} vertices): a branch search over strong cores"
+        " between the largest greedy step and the strong degeneracy, skipped when the two meet",
     )
     _add_input_arguments(cov)
     cov.set_defaults(func=_cmd_cover)
@@ -324,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     dua.set_defaults(func=_cmd_dual)
 
     aud = commands.add_parser("audit", help="randomized graph/hypergraph equivalence audit")
-    aud.add_argument("--trials", type=int, default=100)
-    aud.add_argument("--seed", type=int, default=0)
+    aud.add_argument("--trials", type=_decimal, default=100)
+    aud.add_argument("--seed", type=_decimal, default=0)
     _add_input_arguments(aud)
     aud.set_defaults(func=_cmd_audit)
 
@@ -341,10 +350,10 @@ def _read_ids(args: argparse.Namespace) -> str | None:
     tokens, args.ids = args.ids, []
     for k, token in enumerate(tokens):
         try:
-            args.ids += _decimals([token])
-        except ValueError:
+            args.ids.append(_decimal(token))
+        except argparse.ArgumentTypeError as exc:
             if k < len(tokens) - 1 or args.input is not None or args.input_option is not None:
-                return f"argument --ids: invalid int value: {token!r}"
+                return f"argument --ids: {exc}"
             args.input = token
     return None
 

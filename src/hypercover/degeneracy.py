@@ -5,22 +5,26 @@ vertex, or strong removal, deleting it with all vertices of its edges.
 id on ties) and applies the move until none is left: ``strong_degeneracy``
 (maximal traces through the vertex) and ``degeneracy`` (distinct traces)
 delete it, the greedy cover strongly removes it.  ``_best_restriction``,
-the one exhaustive search, scores every restriction the move reaches: the
-complements of the unions of singletons {v} (``strong_degeneracy_bf``) or
-of closed neighborhoods N[v] = {v} plus every edge through v
-(``mighty_degeneracy_bf``).  No subexponential algorithm is known for the
-mighty value, hence the caps.
+the one exhaustive search, maximises the minimum strong degree over the
+restrictions the move reaches: what is left after removing a union of
+singletons {v} (``strong_degeneracy_bf``) or of closed neighborhoods
+N[v] = {v} plus every edge through v (``mighty_degeneracy_bf``).
+
+Strong degree never rises under deletion (each maximal trace of a smaller
+restriction lies in its own maximal trace of the larger one), so a
+restriction whose minimum strong degree is at least k lies inside the
+strong k-core of every restriction that holds it (Matula and Beck's core
+argument).  The search rests on that fact alone: for k = 1, 2, ... it peels
+the core of what is left and branches on one vertex outside it, over the
+moves that remove that vertex.  No subexponential algorithm is known for
+the mighty value, hence the caps.
 
 The greedy cover knows bounds on the mighty value before it needs it (see
 :mod:`hypercover.cover`): its largest step below, the strong degeneracy
-above.  It hands them to the search as a floor and a ceiling.  Strong degree
-never rises under deletion (each maximal trace of a smaller restriction lies
-in its own maximal trace of the larger one), so every restriction whose
-minimum strong degree beats the floor lies inside the strong core one above
-the floor (Matula and Beck's core argument), and the search scores only
-those; it stops at the ceiling.  The public searches take neither bound and
-score everything: they share nothing with the engine, so tests can use them
-as references for it.
+above.  It hands them to the search as a floor and a ceiling: k starts one
+above the floor, and the search stops at the ceiling.  The public searches
+take neither bound.  They share nothing with the engine, so tests can use
+them as references for it.
 """
 
 from __future__ import annotations
@@ -101,23 +105,6 @@ def _maximal_traces(traces: set[int]) -> list[int]:
     return maximal
 
 
-def _min_strong_degree(edge_masks: list[int], subset_mask: int, floor: int) -> int:
-    """Minimum, over the vertices of ``subset_mask``, of the number of
-    maximal traces containing the vertex; any value up to ``floor`` once the
-    minimum is known not to exceed it."""
-    traces = {mask & subset_mask for mask in edge_masks} - {0}
-    if len(traces) <= floor:
-        return floor
-    maximal = _maximal_traces(traces)
-    best = len(maximal)
-    rest = subset_mask
-    while rest and best > floor:
-        bit = rest & -rest
-        rest ^= bit
-        best = min(best, sum(1 for t in maximal if t & bit))
-    return best
-
-
 def _strong_core(edge_masks: list[int], subset_mask: int, k: int) -> int:
     """The strong ``k``-core of the restriction to ``subset_mask``: its
     largest subset in which every vertex has strong degree at least ``k``.
@@ -143,6 +130,30 @@ def _strong_core(edge_masks: list[int], subset_mask: int, k: int) -> int:
     return core
 
 
+def _reaches(edge_masks: list[int], drops: list[int], full: int, k: int) -> bool:
+    """Whether removing some union of ``drops`` from ``full`` leaves a
+    nonempty restriction of minimum strong degree at least ``k``.  It lies
+    in the strong ``k``-core of all that is left at each step on its way,
+    so the depth-first search takes the smallest vertex outside that core
+    and tries each drop that removes it."""
+    stack = [(0, full)]  # a removed set, and a superset of the core it leaves
+    seen = {0}
+    while stack:
+        gone, start = stack.pop()
+        core = _strong_core(edge_masks, start, k)
+        if not core:
+            continue
+        outside = full ^ gone ^ core
+        if not outside:
+            return True
+        v = outside & -outside
+        for drop in drops:
+            if drop & v and (after := gone | drop) not in seen:
+                seen.add(after)
+                stack.append((after, core & ~drop))
+    return False
+
+
 def _best_restriction(
     h: Hypergraph, max_vertices: int, strong_removal: bool, floor: int = 0, ceiling: int | None = None
 ) -> int:
@@ -150,36 +161,22 @@ def _best_restriction(
     reachable by deleting vertices, or by strong removal.
 
     ``floor`` must be a value some reachable restriction attains and
-    ``ceiling`` one none exceeds; the search then scores only restrictions
-    inside the strong ``(floor + 1)``-core, the only ones that can beat the
-    floor, and stops once it reaches the ceiling."""
+    ``ceiling`` one none exceeds.  Each k from ``floor + 1`` on is tried in
+    turn until none reaches it or the ceiling is met."""
     if h.n > max_vertices:
         raise TooLargeError(f"{h.n} vertices exceed the cap of {max_vertices}")
     if floor == ceiling:
         return floor
     masks = [sum(1 << v for v in e) for e in h.edges]
-    full = (1 << h.n) - 1
-    # A restriction that beats the floor drops every vertex outside the core.
-    # The public searches (floor 0) score every restriction.
-    outside = full ^ _strong_core(masks, full, floor + 1) if floor else 0
-    if outside == full:
-        return floor
     # What one move drops: {v}, or N[v] under strong removal.
     drops = [1 << v for v in range(h.n)]
     if strong_removal:
         for e, mask in zip(h.edges, masks):
             for v in e:
                 drops[v] |= mask
-    # Every union of drops, the empty one (keep everything) included.
-    gone = {0}
-    for drop in drops:
-        gone |= {g | drop for g in gone}
     best = floor
-    for g in gone:
-        if g & outside == outside and g != full:
-            best = max(best, _min_strong_degree(masks, full & ~g, best))
-            if best == ceiling:
-                break
+    while best != ceiling and _reaches(masks, drops, (1 << h.n) - 1, best + 1):
+        best += 1
     return best
 
 

@@ -8,11 +8,20 @@ property tests.
 from __future__ import annotations
 
 import os
+import random
 from pathlib import Path
 
 from hypothesis import strategies as st
 
-from hypercover import Graph, Hypergraph, prufer_decode, strong_degree, strong_remove
+from hypercover import (
+    Graph,
+    Hypergraph,
+    neighborhood_hypergraph,
+    prufer_decode,
+    restrict,
+    strong_degree,
+    strong_remove,
+)
 
 # Subprocesses (``python -m hypercover``, the demos) import this checkout's
 # package too, installed or not.
@@ -40,6 +49,15 @@ def plain_degeneracy_bf(h):
         traces = {e & subset for e in h.edge_sets} - {frozenset()}
         value = min(sum(1 for t in traces if v in t) for v in subset)
         best = max(best, value)
+    return best
+
+
+def strong_degeneracy_ref(h):
+    """Maximum over nonempty restrictions of the minimum strong degree."""
+    best = 0
+    for mask in range(1, 1 << h.n):
+        sub = restrict(h, [v for v in range(h.n) if mask >> v & 1])
+        best = max(best, min(strong_degree(sub, v) for v in sub.vertices))
     return best
 
 
@@ -116,3 +134,75 @@ def trees(draw, min_n: int = 1, max_n: int = 12, hubs: int | None = None):
         )
     )
     return prufer_decode(tuple(seq), n)
+
+
+# Sparse shapes: small edges and neighborhood systems, where strong degrees
+# cascade under deletion and one strong removal leaves much behind.  The
+# generic strategies above draw edges of any size and rarely produce them.
+
+
+@st.composite
+def sparse_hypergraphs(draw, max_n: int = 10, max_m: int = 12, max_size: int = 3):
+    """Random hypergraph with distinct edges of at most ``max_size`` vertices."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    edge = st.frozensets(vertex, min_size=1, max_size=min(max_size, n))
+    edges = draw(st.lists(edge, min_size=1, max_size=max_m, unique=True))
+    return Hypergraph(n, tuple(tuple(sorted(e)) for e in edges))
+
+
+@st.composite
+def sparse_covering_hypergraphs(draw, max_n: int = 10, max_m: int = 12):
+    """A sparse hypergraph in which every vertex that no edge holds is
+    paired with the next one (mod n), so edge covers exist."""
+    h = draw(sparse_hypergraphs(max_n, max_m))
+    covered = set().union(*h.edge_sets)
+    pairs = (tuple(sorted({v, (v + 1) % h.n})) for v in range(h.n) if v not in covered)
+    return Hypergraph(h.n, tuple(dict.fromkeys(h.edges + tuple(pairs))))
+
+
+@st.composite
+def neighborhood_hypergraphs(draw, max_n: int = 9):
+    """The closed or open neighborhood hypergraph of a random graph or tree.
+    A graph with an isolated vertex has no open one and gives its closed
+    one.  Either way every vertex lies in an edge."""
+    g = draw(st.one_of(graphs(max_n=max_n), trees(max_n=max_n)))
+    kind = draw(st.sampled_from(("closed", "open")))
+    return neighborhood_hypergraph(g, kind if all(g.adj) else "closed")
+
+
+@st.composite
+def with_isolated_vertices(draw, base, max_extra: int = 3):
+    """An instance drawn from ``base`` plus up to ``max_extra`` vertices in
+    no edge, mixed among the others by a drawn relabeling."""
+    h = draw(base)
+    n = h.n + draw(st.integers(min_value=1, max_value=max_extra))
+    label = draw(st.permutations(range(n)))
+    return Hypergraph(n, tuple(tuple(sorted(label[v] for v in e)) for e in h.edges))
+
+
+def sparse_instances(max_n: int = 10):
+    """Sparse hypergraphs and neighborhood hypergraphs of at most ``max_n``
+    vertices, with or without vertices in no edge."""
+    def shapes(size):
+        return st.one_of(sparse_hypergraphs(max_n=size), neighborhood_hypergraphs(max_n=size))
+
+    return st.one_of(shapes(max_n), with_isolated_vertices(shapes(max_n - 3)))
+
+
+def sparse_corpus(count: int = 300, seed: int = 2108):
+    """``count`` seeded instances of at most 10 vertices: every fourth is the
+    neighborhood hypergraph of a random graph, open when no vertex is
+    isolated and the coin says so, the others have up to 2n random edges of
+    at most three vertices, vertices in no edge included."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(1, 10)
+        if i % 4 == 3:
+            p = rng.random()
+            g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+            yield neighborhood_hypergraph(g, "open" if all(g.adj) and rng.random() < 0.5 else "closed")
+        else:
+            size = range(1, min(3, n) + 1)
+            edges = {tuple(sorted(rng.sample(range(n), rng.choice(size)))) for _ in range(rng.randint(1, 2 * n))}
+            yield Hypergraph(n, tuple(sorted(edges)))

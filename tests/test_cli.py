@@ -49,6 +49,27 @@ class TestGen:
         assert result.returncode == 1
         assert result.stderr.startswith("error: NTooSmall")
 
+    @pytest.mark.parametrize(
+        "args, option, token",
+        [
+            (("gen", "gap", "--n", "{}"), "--n", "\u0663"),
+            (("gen", "gap", "--n", "{}"), "--n", "1_0"),
+            (("gen", "gap", "--n", "{}"), "--n", "+1"),
+            (("gen", "tree", "--n", "5", "--seed", "{}"), "--seed", "+1"),
+            (("gen", "hg", "--n", "{}", "--m", "2", "--max-size", "2"), "--n", "1_0"),
+            (("gen", "hg", "--n", "4", "--m", "{}", "--max-size", "2"), "--m", "\u0663"),
+            (("gen", "hg", "--n", "4", "--m", "2", "--max-size", "{}"), "--max-size", "+1"),
+            (("gen", "hg", "--n", "4", "--m", "2", "--max-size", "2", "--seed", "{}"), "--seed", "1_0"),
+            (("audit", "--trials", "{}"), "--trials", "\u0663"),
+            (("audit", "--seed", "{}"), "--seed", "+1"),
+        ],
+    )
+    def test_integer_options_take_the_digits_0_to_9_only(self, args, option, token):
+        result = run_cli(*(a.format(token) for a in args), stdin=P4)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.endswith(f"error: argument {option}: invalid int value: {token!r}\n")
+
 
 class TestInputPlumbing:
     def test_stdin_is_the_default(self):

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hypercover import (
     Hypergraph,
@@ -16,7 +17,9 @@ from hypercover import (
 )
 from hypercover.errors import IsolatedVertexError
 
-from conftest import covering_hypergraphs, mighty_degeneracy_ref
+from conftest import covering_hypergraphs, mighty_degeneracy_ref, neighborhood_hypergraphs, sparse_covering_hypergraphs
+
+covering_instances = st.one_of(covering_hypergraphs(), sparse_covering_hypergraphs(), neighborhood_hypergraphs())
 
 
 class TestGreedyCover:
@@ -50,7 +53,7 @@ class TestGreedyCover:
     def test_mighty_skipped_by_default(self):
         assert greedy_cover(gap_family(5)).mighty_factor is None
 
-    @given(covering_hypergraphs())
+    @given(covering_instances)
     def test_certificate_invariants(self, h):
         cert = greedy_cover(h, mighty=True)
         assert check(h, "edge-cover", cert.cover)
@@ -85,7 +88,10 @@ class TestGreedyCover:
         cert = greedy_cover(h, mighty=True)
         assert (max(cert.per_step_edges), cert.mighty_factor, cert.bound_factor) == (largest_step, mighty, bound)
 
-    @given(covering_hypergraphs())
+    @given(covering_instances)
+    # The search starts above the largest step, 1, and must reach the bound, 2.
+    @example(Hypergraph.from_edges(6, [(0, 3), (1, 2, 4), (1, 5), (2, 3), (4, 5)]))
+    @example(Hypergraph.from_edges(6, [(0, 1), (0, 4), (1, 4), (2, 3), (2, 4), (3,), (3, 5)]))
     def test_mighty_value_matches_its_definition(self, h):
         assert greedy_cover(h, mighty=True).mighty_factor == mighty_degeneracy_ref(h)
 

@@ -23,6 +23,8 @@ from hypercover import (
     greedy_cover,
     maximal_edges,
     mighty_degeneracy_bf,
+    neighborhood_hypergraph,
+    path_graph,
     restrict,
     strong_degeneracy,
     strong_degeneracy_bf,
@@ -30,10 +32,18 @@ from hypercover import (
 )
 from hypercover import _trace_index
 from hypercover._trace_index import TraceIndex
-from hypercover.degeneracy import EliminationOrder, _strong_core
+from hypercover.degeneracy import EliminationOrder, _best_restriction, _strong_core
 from hypercover.errors import TooLargeError
 
-from conftest import covering_hypergraphs, hypergraphs, mighty_degeneracy_ref, plain_degeneracy_bf
+from conftest import (
+    covering_hypergraphs,
+    hypergraphs,
+    mighty_degeneracy_ref,
+    plain_degeneracy_bf,
+    sparse_corpus,
+    sparse_instances,
+    strong_degeneracy_ref,
+)
 
 
 def colliding_keys():
@@ -128,9 +138,13 @@ class TestPeelingMatchesDefinitions:
     def test_plain_value_matches_brute_force(self, h):
         assert degeneracy(h).value == plain_degeneracy_bf(h)
 
-    @given(hypergraphs(max_n=8))
+    @given(st.one_of(hypergraphs(max_n=8), sparse_instances()))
     def test_mighty_value_matches_its_definition(self, h):
         assert mighty_degeneracy_bf(h) == mighty_degeneracy_ref(h)
+
+    @given(st.one_of(hypergraphs(), sparse_instances(max_n=8)))
+    def test_strong_search_matches_its_definition(self, h):
+        assert strong_degeneracy_bf(h) == strong_degeneracy_ref(h)
 
     @given(hypergraphs())
     def test_parameter_chain(self, h):
@@ -140,8 +154,9 @@ class TestPeelingMatchesDefinitions:
             <= degeneracy(h).value
         )
 
-    @given(hypergraphs(), st.integers(min_value=0, max_value=4))
+    @given(st.one_of(hypergraphs(), sparse_instances(max_n=8)), st.integers(min_value=0, max_value=4))
     @example(Hypergraph.from_edges(6, [(v, v + 1) for v in range(5)]), 2)  # each round frees the next
+    @example(neighborhood_hypergraph(path_graph(6)), 2)  # the ends go first, then their neighbors
     def test_strong_core_matches_its_definition(self, h, k):
         """The largest vertex set in which every vertex has strong degree at
         least ``k``, by trying every subset."""
@@ -161,6 +176,23 @@ class TestPeelingMatchesDefinitions:
         with pytest.raises(TooLargeError):
             mighty_degeneracy_bf(Hypergraph(15, ()))
         assert strong_degeneracy_bf(big, max_vertices=15) == strong_degeneracy(big).value
+
+
+class TestSparseCorpus:
+    """Seeded sparse instances, each searched value against its definition.
+    On these shapes a branch that tries only one way to remove a vertex, or
+    a search that stops below its ceiling, gives a wrong value."""
+
+    def test_values_match_their_definitions(self):
+        for h in sparse_corpus():
+            mighty, strong = mighty_degeneracy_ref(h), strong_degeneracy_ref(h)
+            assert mighty_degeneracy_bf(h) == mighty, h
+            assert strong_degeneracy_bf(h) == strong, h
+            # The tightest ceiling a caller may pass is the value itself.
+            assert _best_restriction(h, h.n, strong_removal=True, ceiling=mighty) == mighty, h
+            assert _best_restriction(h, h.n, strong_removal=False, ceiling=strong) == strong, h
+            if len(set().union(*h.edge_sets)) == h.n:
+                assert greedy_cover(h, mighty=True).mighty_factor == mighty, h
 
 
 class TestTraceIndex:
