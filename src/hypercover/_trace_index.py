@@ -29,6 +29,11 @@ The transition rules rely on three facts about deleting a set ``R``:
   merged with it;
 * only a maximal trace that shrank, or the survivor of a merge with a
   maximal trace, can change status, so only those are re-checked.
+
+``pop_min`` hands out one vertex of minimum degree; ``pop_at_most(k)`` every
+live vertex of degree at most ``k``, the batch of a core peel.  Degrees never
+rise under deletion, so each live vertex has exactly one current heap entry.
+``delete_vertex`` checks every id before it changes anything.
 """
 
 from __future__ import annotations
@@ -153,6 +158,19 @@ class TraceIndex:
                 return d, v
         return None
 
+    def pop_at_most(self, k: int) -> list[int]:
+        """Pop every live vertex of degree at most ``k``, in (degree, vertex)
+        order.  Each live vertex has one current heap entry, so none repeats."""
+        heap = self._heap
+        alive = self.alive
+        deg = self.deg
+        out = []
+        while heap and heap[0][0] <= k:
+            d, v = heappop(heap)
+            if alive[v] and deg[v] == d:
+                out.append(v)
+        return out
+
     def maximal_traces_at(self, v: int) -> list[tuple[int, frozenset[int]]]:
         """(representative edge id, trace) pairs of the maximal traces through
         ``v``, ordered by representative (strong index only)."""
@@ -164,8 +182,23 @@ class TraceIndex:
         return out
 
     def delete_vertex(self, *gone: int) -> None:
-        """Restrict to the live vertices minus ``gone``."""
+        """Restrict to the live vertices minus ``gone``.
+
+        Raises:
+            ValueError: an id of ``gone`` is out of range, already deleted or
+                repeated; the index is left as it was.
+        """
         alive = self.alive
+        # Mark gone dead first, so a repeated id meets a dead vertex; on a
+        # bad id, revive what was marked before anything else changed.
+        n = len(alive)
+        for i, x in enumerate(gone):
+            if 0 <= x < n and alive[x]:
+                alive[x] = False
+                continue
+            for y in gone[:i]:
+                alive[y] = True
+            raise ValueError(f"vertex {x} already deleted" if 0 <= x < n else f"vertex {x} out of range")
         members = self._members
         hashes = self._hash
         by_hash = self._by_hash
@@ -177,9 +210,6 @@ class TraceIndex:
         # so the lookups below never meet a trace that is yet to be placed.
         touched: set[int] = set()
         for x in gone:
-            if not alive[x]:
-                raise ValueError(f"vertex {x} already deleted")
-            alive[x] = False
             key = self._keys[x]
             for t in vertex_traces[x]:
                 if t not in touched:

@@ -3,9 +3,9 @@
 One subcommand per capability, composable through pipes: generators write
 ``.hg``/``.gr`` text to stdout and every analysis command reads a file or
 ``-`` for stdin.  Results go to stdout (JSON under ``--json``), diagnostics
-to stderr.  Exit codes: 0 on success, 1 on domain errors (reported by their
-error name), 2 on usage errors.  All ids are 1-based on this surface, those
-named in error messages included.
+to stderr, each warning as one ``warning:`` line.  Exit codes: 0 on success,
+1 on domain errors (reported by their error name), 2 on usage errors.  All
+ids are 1-based on this surface, those named in error messages included.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import asdict
 from itertools import islice
 from typing import Any
@@ -358,6 +359,12 @@ def _read_ids(args: argparse.Namespace) -> str | None:
     return None
 
 
+def _show_warning(message, category, *_) -> None:
+    """A warning (a ``FormatWarning`` from the parsers) as one stderr line,
+    without the source location and line that Python shows."""
+    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -371,7 +378,9 @@ def main(argv: list[str] | None = None) -> int:
         print("error: give the input either positionally or via --input, not both", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except HypercoverError as exc:
         print(f"error: {exc.code}: {exc.render(1)}", file=sys.stderr)
         return 1

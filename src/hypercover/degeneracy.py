@@ -19,6 +19,13 @@ the core of what is left and branches on one vertex outside it, over the
 moves that remove that vertex.  No subexponential algorithm is known for
 the mighty value, hence the caps.
 
+The same fact gives the strong degeneracy as the largest k whose strong
+k-core is nonempty.  ``_strong_degeneracy_from`` finds it from a floor k no
+larger than it: it deletes every vertex of degree at most k in one batch,
+raises k to the minimum degree of what is left, and stops at the batch that
+takes all that is left.  The greedy cover uses it for its bound, with its
+largest step as the floor.
+
 The greedy cover knows bounds on the mighty value before it needs it (see
 :mod:`hypercover.cover`): its largest step below, the strong degeneracy
 above.  It hands them to the search as a floor and a ceiling: k starts one
@@ -93,6 +100,26 @@ def strong_degeneracy(h: Hypergraph) -> EliminationOrder:
 def degeneracy(h: Hypergraph) -> EliminationOrder:
     """Plain-degree analog of :func:`strong_degeneracy`."""
     return _peel(h, strong=False)[0]
+
+
+def _strong_degeneracy_from(h: Hypergraph, floor: int) -> int:
+    """The strong degeneracy, given a ``floor`` no larger than it: the
+    largest k whose strong k-core is nonempty.  Each round pops a vertex of
+    minimum degree, raises k to it, and deletes every vertex of degree at
+    most k in one call; the round whose batch is all that is left ends it."""
+    index = TraceIndex(h, strong=True)
+    k = floor
+    live = h.n
+    while (entry := index.pop_min()) is not None:
+        d, x = entry
+        k = max(k, d)
+        gone = index.pop_at_most(k)
+        gone.append(x)
+        if len(gone) == live:
+            break
+        index.delete_vertex(*gone)
+        live -= len(gone)
+    return k
 
 
 def _maximal_traces(traces: set[int]) -> list[int]:

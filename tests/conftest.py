@@ -161,6 +161,11 @@ def sparse_covering_hypergraphs(draw, max_n: int = 10, max_m: int = 12):
     return Hypergraph(h.n, tuple(dict.fromkeys(h.edges + tuple(pairs))))
 
 
+def covering_instances():
+    """Dense, sparse and neighborhood hypergraphs with no vertex in no edge."""
+    return st.one_of(covering_hypergraphs(), sparse_covering_hypergraphs(), neighborhood_hypergraphs())
+
+
 @st.composite
 def neighborhood_hypergraphs(draw, max_n: int = 9):
     """The closed or open neighborhood hypergraph of a random graph or tree.

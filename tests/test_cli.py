@@ -115,6 +115,20 @@ class TestInputPlumbing:
         assert strict.returncode == 1
         assert strict.stderr.startswith("error: DuplicateEdge")
 
+    @pytest.mark.parametrize(
+        "argv, text, clean, message",
+        [
+            (["cover"], "p hg 2 2\ne 1 2\ne 2 1\n", "p hg 2 1\ne 1 2\n", "merged 1 duplicate edge(s)"),
+            (["cover"], "p hg 2 1\ne 1 2 2\n", "p hg 2 1\ne 1 2\n", "line 2: repeated vertex inside an edge"),
+            (["dominate"], "p edge 3 3\ne 1 2\ne 2 1\ne 2 3\n", "p edge 3 2\ne 1 2\ne 2 3\n", "merged 1 duplicate edge(s)"),
+        ],
+    )
+    def test_a_warning_is_one_stderr_line(self, argv, text, clean, message):
+        result = run_cli(*argv, stdin=text)
+        assert result.returncode == 0
+        assert result.stderr == f"warning: FormatWarning: {message}\n"
+        assert result.stdout == run_cli(*argv, stdin=clean).stdout
+
     @pytest.mark.parametrize("argv", [["cover"], ["exact", "--problem", "min-edge-cover"], ["verify", "--kind", "edge-cover"]])
     def test_a_duplicate_edge_is_named_one_based(self, argv):
         strict = run_cli(*argv, "--strict", stdin="p hg 3 3\ne 1 2\ne 2 1\ne 2 3\n")

@@ -2,24 +2,31 @@
 
 from __future__ import annotations
 
+import weakref
+
 import pytest
 from hypothesis import example, given
-from hypothesis import strategies as st
 
 from hypercover import (
     Hypergraph,
     check,
+    dual,
     gap_family,
     greedy_cover,
     greedy_transversal,
     neighborhood_hypergraph,
     path_graph,
+    strong_degeneracy,
 )
+from hypercover._trace_index import TraceIndex
 from hypercover.errors import IsolatedVertexError
 
-from conftest import covering_hypergraphs, mighty_degeneracy_ref, neighborhood_hypergraphs, sparse_covering_hypergraphs
+from conftest import covering_hypergraphs, covering_instances, mighty_degeneracy_ref
 
-covering_instances = st.one_of(covering_hypergraphs(), sparse_covering_hypergraphs(), neighborhood_hypergraphs())
+# The largest step is 2 and the strong degeneracy 10.
+GAP12 = gap_family(12)
+# Each batch of the bound's core peel frees the next.
+PATH6 = Hypergraph.from_edges(6, [(v, v + 1) for v in range(5)])
 
 
 class TestGreedyCover:
@@ -53,7 +60,7 @@ class TestGreedyCover:
     def test_mighty_skipped_by_default(self):
         assert greedy_cover(gap_family(5)).mighty_factor is None
 
-    @given(covering_instances)
+    @given(covering_instances())
     def test_certificate_invariants(self, h):
         cert = greedy_cover(h, mighty=True)
         assert check(h, "edge-cover", cert.cover)
@@ -72,6 +79,26 @@ class TestGreedyCover:
     def test_deterministic(self, h):
         assert greedy_cover(h) == greedy_cover(h)
 
+    @given(covering_instances())
+    @example(GAP12)
+    @example(PATH6)
+    def test_bound_is_the_strong_degeneracy(self, h):
+        assert greedy_cover(h).bound_factor == strong_degeneracy(h).value
+
+    def test_one_index_at_a_time(self, monkeypatch):
+        """The greedy's index is gone before the bound's is built."""
+        built = []
+        build = TraceIndex.__init__
+
+        def spy(index, h, strong=True):
+            assert all(ref() is None for ref, _ in built)
+            build(index, h, strong)
+            built.append((weakref.ref(index), strong))
+
+        monkeypatch.setattr(TraceIndex, "__init__", spy)
+        greedy_cover(GAP12)
+        assert [strong for _, strong in built] == [True, True]
+
     @pytest.mark.parametrize(
         "h, largest_step, mighty, bound",
         [
@@ -88,7 +115,7 @@ class TestGreedyCover:
         cert = greedy_cover(h, mighty=True)
         assert (max(cert.per_step_edges), cert.mighty_factor, cert.bound_factor) == (largest_step, mighty, bound)
 
-    @given(covering_instances)
+    @given(covering_instances())
     # The search starts above the largest step, 1, and must reach the bound, 2.
     @example(Hypergraph.from_edges(6, [(0, 3), (1, 2, 4), (1, 5), (2, 3), (4, 5)]))
     @example(Hypergraph.from_edges(6, [(0, 1), (0, 4), (1, 4), (2, 3), (2, 4), (3,), (3, 5)]))
@@ -123,6 +150,12 @@ class TestGreedyTransversal:
         total = sum(cert.per_step_edges)
         assert len(cert.transversal) <= total
         assert total <= cert.bound_factor * len(cert.matching)
+
+    @given(covering_instances())
+    @example(GAP12)
+    @example(PATH6)
+    def test_bound_is_the_strong_degeneracy_of_the_dual(self, h):
+        assert greedy_transversal(h).bound_factor == strong_degeneracy(dual(h)).value
 
     @given(covering_hypergraphs())
     def test_matching_never_larger_than_transversal(self, h):

@@ -32,11 +32,12 @@ from hypercover import (
 )
 from hypercover import _trace_index
 from hypercover._trace_index import TraceIndex
-from hypercover.degeneracy import EliminationOrder, _best_restriction, _strong_core
+from hypercover.degeneracy import EliminationOrder, _best_restriction, _strong_core, _strong_degeneracy_from
 from hypercover.errors import TooLargeError
 
 from conftest import (
     covering_hypergraphs,
+    covering_instances,
     hypergraphs,
     mighty_degeneracy_ref,
     plain_degeneracy_bf,
@@ -178,6 +179,35 @@ class TestPeelingMatchesDefinitions:
         assert strong_degeneracy_bf(big, max_vertices=15) == strong_degeneracy(big).value
 
 
+PATH6 = Hypergraph.from_edges(6, [(v, v + 1) for v in range(5)])
+# Strong degeneracy 2: four leaves of strong degree 1 around a triangle.
+TRIANGLE_WITH_LEAVES = Hypergraph.from_edges(7, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5), (0, 6)])
+
+
+class TestStrongDegeneracyFrom:
+    """The bound's batched core peel, from every floor a caller may pass."""
+
+    @staticmethod
+    def check_every_floor(h):
+        value = strong_degeneracy(h).value
+        assert [_strong_degeneracy_from(h, floor) for floor in range(value + 1)] == [value] * (value + 1)
+
+    @given(covering_instances())
+    @example(gap_family(12))  # floor 2, value 10
+    @example(PATH6)  # each batch frees the next
+    @example(TRIANGLE_WITH_LEAVES)  # the first batch takes four of seven vertices
+    def test_every_floor_gives_the_strong_degeneracy(self, h):
+        self.check_every_floor(h)
+
+    @given(covering_instances())
+    @example(gap_family(12))
+    @example(PATH6)
+    @example(TRIANGLE_WITH_LEAVES)
+    def test_every_floor_gives_the_strong_degeneracy_when_every_hash_collides(self, h):
+        with colliding_keys():
+            self.check_every_floor(h)
+
+
 class TestSparseCorpus:
     """Seeded sparse instances, each searched value against its definition.
     On these shapes a branch that tries only one way to remove a vertex, or
@@ -254,6 +284,41 @@ class TestTraceIndex:
     def test_set_deletions_track_restrictions_when_every_hash_collides(self, h, data):
         with colliding_keys():
             self.check_records(h, self.disjoint_sets(h, data))
+
+    @given(sparse_instances(), st.data())
+    def test_records_track_restrictions_on_sparse_shapes(self, h, data):
+        self.check_records(h, self.singletons(h, data))
+
+    @given(sparse_instances(), st.data())
+    def test_records_track_restrictions_on_sparse_shapes_when_every_hash_collides(self, h, data):
+        with colliding_keys():
+            self.check_records(h, self.singletons(h, data))
+
+    @given(sparse_instances(), st.data())
+    def test_set_deletions_track_restrictions_on_sparse_shapes(self, h, data):
+        self.check_records(h, self.disjoint_sets(h, data))
+
+    @given(sparse_instances(), st.data())
+    def test_set_deletions_track_restrictions_on_sparse_shapes_when_every_hash_collides(self, h, data):
+        with colliding_keys():
+            self.check_records(h, self.disjoint_sets(h, data))
+
+    @pytest.mark.parametrize("gone", [(1, 1), (0, 1, 0), (0, 4), (2, -1), (3,)])
+    def test_a_bad_deletion_changes_nothing(self, gone):
+        h = Hypergraph.from_edges(4, [(0, 1), (0, 2), (1, 2, 3)])
+        index = TraceIndex(h, strong=True)
+        index.delete_vertex(3)
+        before = (index.traces(), list(index.deg), list(index.alive), dict(index._by_hash), sorted(index._heap))
+        with pytest.raises(ValueError, match="already deleted|out of range"):
+            index.delete_vertex(*gone)
+        after = (index.traces(), list(index.deg), list(index.alive), dict(index._by_hash), sorted(index._heap))
+        assert after == before
+        # The index still follows its restrictions: {0, 1} and {1, 2}
+        # shrink to {0} and {2}, both inside {0, 2}.
+        index.delete_vertex(1)
+        assert index.traces() == self.snapshot(h, {0, 2})
+        sub = restrict(h, {0, 2})
+        assert [index.deg[0], index.deg[2]] == [strong_degree(sub, 0), strong_degree(sub, 2)]
 
     @given(hypergraphs(), st.data())
     def test_degrees_track_restrictions(self, h, data):
