@@ -189,16 +189,13 @@ class TraceIndex:
                 repeated; the index is left as it was.
         """
         alive = self.alive
-        # Mark gone dead first, so a repeated id meets a dead vertex; on a
-        # bad id, revive what was marked before anything else changed.
         n = len(alive)
-        for i, x in enumerate(gone):
-            if 0 <= x < n and alive[x]:
-                alive[x] = False
-                continue
-            for y in gone[:i]:
-                alive[y] = True
-            raise ValueError(f"vertex {x} already deleted" if 0 <= x < n else f"vertex {x} out of range")
+        for x in gone:
+            if not (0 <= x < n and alive[x]):
+                raise ValueError(f"vertex {x} already deleted" if 0 <= x < n else f"vertex {x} out of range")
+        if len(gone) > 1 and len(set(gone)) < len(gone):
+            x = next(x for i, x in enumerate(gone) if x in gone[:i])
+            raise ValueError(f"vertex {x} repeated")
         members = self._members
         hashes = self._hash
         by_hash = self._by_hash
@@ -210,6 +207,7 @@ class TraceIndex:
         # so the lookups below never meet a trace that is yet to be placed.
         touched: set[int] = set()
         for x in gone:
+            alive[x] = False
             key = self._keys[x]
             for t in vertex_traces[x]:
                 if t not in touched:

@@ -15,12 +15,12 @@ removal reaches, so the run holds the sandwich
     largest step  <=  mighty degeneracy  <=  strong degeneracy,
 
 and the factor is the strong degeneracy, tightened to the mighty value when
-that is affordable.  The greedy runs first.  The strong degeneracy then
-comes from a batched strong-core peel on a fresh index that starts at the
-largest step, after the greedy's index is gone; the mighty search starts at
-the largest step and stops at the strong degeneracy, and when the two meet
-it searches nothing.  Since an edge cover is never smaller than an independent
-set, a run certifies both quantities.
+that is affordable.  The strong degeneracy comes first, from a batched
+strong-core peel on its own index, so it checks the greedy's steps rather
+than being read off them; that index is gone before the greedy builds its
+own.  The mighty search starts at the largest step and stops at the strong
+degeneracy, and when the two meet it searches nothing.  Since an edge cover
+is never smaller than an independent set, a run certifies both quantities.
 
 ``greedy_transversal`` runs the same greedy on the dual hypergraph, turning
 the cover into a transversal and the independent set into a matching.
@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Hypergraph, _reject_isolated, check, dual
-from .degeneracy import MIGHTY_BF_CAP, _best_restriction, _peel, _strong_degeneracy_from
+from .degeneracy import MIGHTY_BF_CAP, _best_restriction, _peel, _strong_degeneracy
 from .errors import CertificateError
 
 
@@ -91,16 +91,16 @@ def greedy_cover(h: Hypergraph, mighty: bool = False) -> CoverCertificate:
         CertificateError: the run failed its own checks.
     """
     _reject_isolated(h)
+    bound = _strong_degeneracy(h)
     steps, cover_ids = _peel(h, strong=True, strong_removal=True)
     if len(set(cover_ids)) != len(cover_ids):
         raise CertificateError("an edge was selected twice")
     cover = tuple(sorted(cover_ids))
     independent, per_step = steps.order, steps.step_values
-    # The sandwich: the largest step <= the mighty value <= the bound.
-    floor = max(per_step, default=0)
-    bound = _strong_degeneracy_from(h, floor)
     mighty_value = None
     if mighty and h.n <= MIGHTY_BF_CAP:
+        # The sandwich: the largest step <= the mighty value <= the bound.
+        floor = max(per_step, default=0)
         mighty_value = _best_restriction(h, MIGHTY_BF_CAP, strong_removal=True, floor=floor, ceiling=bound)
     total = sum(per_step)
     inequality = len(cover) <= total <= bound * len(independent) if independent else len(cover) == 0

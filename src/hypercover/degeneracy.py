@@ -20,11 +20,11 @@ moves that remove that vertex.  No subexponential algorithm is known for
 the mighty value, hence the caps.
 
 The same fact gives the strong degeneracy as the largest k whose strong
-k-core is nonempty.  ``_strong_degeneracy_from`` finds it from a floor k no
-larger than it: it deletes every vertex of degree at most k in one batch,
-raises k to the minimum degree of what is left, and stops at the batch that
-takes all that is left.  The greedy cover uses it for its bound, with its
-largest step as the floor.
+k-core is nonempty.  ``_strong_degeneracy`` finds it in batches: it raises k
+to the minimum degree of what is left, deletes every vertex of degree at
+most k in one call, and stops at the batch that takes all that is left.
+The greedy cover uses it for its bound, which it checks its own steps
+against.
 
 The greedy cover knows bounds on the mighty value before it needs it (see
 :mod:`hypercover.cover`): its largest step below, the strong degeneracy
@@ -102,13 +102,13 @@ def degeneracy(h: Hypergraph) -> EliminationOrder:
     return _peel(h, strong=False)[0]
 
 
-def _strong_degeneracy_from(h: Hypergraph, floor: int) -> int:
-    """The strong degeneracy, given a ``floor`` no larger than it: the
-    largest k whose strong k-core is nonempty.  Each round pops a vertex of
-    minimum degree, raises k to it, and deletes every vertex of degree at
-    most k in one call; the round whose batch is all that is left ends it."""
+def _strong_degeneracy(h: Hypergraph) -> int:
+    """The strong degeneracy, the largest k whose strong k-core is nonempty.
+    Each round pops a vertex of minimum degree, raises k to it, and deletes
+    every vertex of degree at most k in one call; the round whose batch is
+    all that is left ends it."""
     index = TraceIndex(h, strong=True)
-    k = floor
+    k = 0
     live = h.n
     while (entry := index.pop_min()) is not None:
         d, x = entry

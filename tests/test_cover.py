@@ -19,7 +19,7 @@ from hypercover import (
     strong_degeneracy,
 )
 from hypercover._trace_index import TraceIndex
-from hypercover.errors import IsolatedVertexError
+from hypercover.errors import CertificateError, IsolatedVertexError
 
 from conftest import covering_hypergraphs, covering_instances, mighty_degeneracy_ref
 
@@ -27,6 +27,16 @@ from conftest import covering_hypergraphs, covering_instances, mighty_degeneracy
 GAP12 = gap_family(12)
 # Each batch of the bound's core peel frees the next.
 PATH6 = Hypergraph.from_edges(6, [(v, v + 1) for v in range(5)])
+# The mighty search starts above the largest step, 1, and must reach the
+# bound, 2.
+MIGHTY_EXAMPLES = (
+    Hypergraph.from_edges(6, [(0, 3), (1, 2, 4), (1, 5), (2, 3), (4, 5)]),
+    Hypergraph.from_edges(6, [(0, 1), (0, 4), (1, 4), (2, 3), (2, 4), (3,), (3, 5)]),
+)
+
+
+def check_mighty_value(h):
+    assert greedy_cover(h, mighty=True).mighty_factor == mighty_degeneracy_ref(h)
 
 
 class TestGreedyCover:
@@ -85,8 +95,18 @@ class TestGreedyCover:
     def test_bound_is_the_strong_degeneracy(self, h):
         assert greedy_cover(h).bound_factor == strong_degeneracy(h).value
 
+    def test_bound_checks_the_steps(self, monkeypatch):
+        """The bound is computed apart from the greedy, so a step above it
+        fails the self-check: on a 5-cycle of pairs the steps are 2 and 1,
+        and a bound of 1 cannot hold 3 edges for 2 vertices."""
+        cycle = Hypergraph.from_edges(5, [(v, (v + 1) % 5) for v in range(5)])
+        assert greedy_cover(cycle).bound_factor == 2
+        monkeypatch.setattr("hypercover.cover._strong_degeneracy", lambda h: 1)
+        with pytest.raises(CertificateError):
+            greedy_cover(cycle)
+
     def test_one_index_at_a_time(self, monkeypatch):
-        """The greedy's index is gone before the bound's is built."""
+        """The bound's index is gone before the greedy's is built."""
         built = []
         build = TraceIndex.__init__
 
@@ -116,11 +136,10 @@ class TestGreedyCover:
         assert (max(cert.per_step_edges), cert.mighty_factor, cert.bound_factor) == (largest_step, mighty, bound)
 
     @given(covering_instances())
-    # The search starts above the largest step, 1, and must reach the bound, 2.
-    @example(Hypergraph.from_edges(6, [(0, 3), (1, 2, 4), (1, 5), (2, 3), (4, 5)]))
-    @example(Hypergraph.from_edges(6, [(0, 1), (0, 4), (1, 4), (2, 3), (2, 4), (3,), (3, 5)]))
+    @example(MIGHTY_EXAMPLES[0])
+    @example(MIGHTY_EXAMPLES[1])
     def test_mighty_value_matches_its_definition(self, h):
-        assert greedy_cover(h, mighty=True).mighty_factor == mighty_degeneracy_ref(h)
+        check_mighty_value(h)
 
 
 class TestGreedyTransversal:

@@ -32,7 +32,7 @@ from hypercover import (
 )
 from hypercover import _trace_index
 from hypercover._trace_index import TraceIndex
-from hypercover.degeneracy import EliminationOrder, _best_restriction, _strong_core, _strong_degeneracy_from
+from hypercover.degeneracy import EliminationOrder, _best_restriction, _strong_core, _strong_degeneracy
 from hypercover.errors import TooLargeError
 
 from conftest import (
@@ -107,6 +107,27 @@ class TestFrozenValues:
         assert degeneracy(h).value == 1
 
 
+# At k = 2 each round of a path's core peel frees the next; in the closed
+# neighborhoods of a path the ends go first, then their neighbors.
+CORE_EXAMPLES = (
+    (Hypergraph.from_edges(6, [(v, v + 1) for v in range(5)]), 2),
+    (neighborhood_hypergraph(path_graph(6)), 2),
+)
+
+
+def check_strong_core(h, k):
+    """``_strong_core`` against the largest vertex set in which every vertex
+    has strong degree at least ``k``, found by trying every subset."""
+    largest: tuple[int, ...] = ()
+    for mask in range(1, 1 << h.n):
+        subset = [v for v in range(h.n) if mask >> v & 1]
+        sub = restrict(h, subset)
+        if len(subset) > len(largest) and all(strong_degree(sub, v) >= k for v in subset):
+            largest = tuple(subset)
+    masks = [sum(1 << v for v in e) for e in h.edges]
+    assert _strong_core(masks, (1 << h.n) - 1, k) == sum(1 << v for v in largest)
+
+
 class TestPeelingMatchesDefinitions:
     @given(hypergraphs())
     def test_order_is_permutation(self, h):
@@ -156,19 +177,10 @@ class TestPeelingMatchesDefinitions:
         )
 
     @given(st.one_of(hypergraphs(), sparse_instances(max_n=8)), st.integers(min_value=0, max_value=4))
-    @example(Hypergraph.from_edges(6, [(v, v + 1) for v in range(5)]), 2)  # each round frees the next
-    @example(neighborhood_hypergraph(path_graph(6)), 2)  # the ends go first, then their neighbors
+    @example(*CORE_EXAMPLES[0])
+    @example(*CORE_EXAMPLES[1])
     def test_strong_core_matches_its_definition(self, h, k):
-        """The largest vertex set in which every vertex has strong degree at
-        least ``k``, by trying every subset."""
-        largest: tuple[int, ...] = ()
-        for mask in range(1, 1 << h.n):
-            subset = [v for v in range(h.n) if mask >> v & 1]
-            sub = restrict(h, subset)
-            if len(subset) > len(largest) and all(strong_degree(sub, v) >= k for v in subset):
-                largest = tuple(subset)
-        masks = [sum(1 << v for v in e) for e in h.edges]
-        assert _strong_core(masks, (1 << h.n) - 1, k) == sum(1 << v for v in largest)
+        check_strong_core(h, k)
 
     def test_size_caps(self):
         big = Hypergraph.from_edges(15, [(v, v + 1) for v in range(14)])
@@ -182,30 +194,32 @@ class TestPeelingMatchesDefinitions:
 PATH6 = Hypergraph.from_edges(6, [(v, v + 1) for v in range(5)])
 # Strong degeneracy 2: four leaves of strong degree 1 around a triangle.
 TRIANGLE_WITH_LEAVES = Hypergraph.from_edges(7, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5), (0, 6)])
+# Value 10 from a first batch of one vertex; each batch of PATH6 frees the
+# next; the first batch of TRIANGLE_WITH_LEAVES takes four of seven vertices.
+BATCH_EXAMPLES = (gap_family(12), PATH6, TRIANGLE_WITH_LEAVES)
 
 
-class TestStrongDegeneracyFrom:
-    """The bound's batched core peel, from every floor a caller may pass."""
+def check_batched_strong_degeneracy(h):
+    assert _strong_degeneracy(h) == strong_degeneracy(h).value
 
-    @staticmethod
-    def check_every_floor(h):
-        value = strong_degeneracy(h).value
-        assert [_strong_degeneracy_from(h, floor) for floor in range(value + 1)] == [value] * (value + 1)
 
-    @given(covering_instances())
-    @example(gap_family(12))  # floor 2, value 10
-    @example(PATH6)  # each batch frees the next
-    @example(TRIANGLE_WITH_LEAVES)  # the first batch takes four of seven vertices
-    def test_every_floor_gives_the_strong_degeneracy(self, h):
-        self.check_every_floor(h)
+class TestBatchedStrongDegeneracy:
+    """The bound's batched core peel against the one-vertex peel."""
 
     @given(covering_instances())
-    @example(gap_family(12))
-    @example(PATH6)
-    @example(TRIANGLE_WITH_LEAVES)
-    def test_every_floor_gives_the_strong_degeneracy_when_every_hash_collides(self, h):
+    @example(BATCH_EXAMPLES[0])
+    @example(BATCH_EXAMPLES[1])
+    @example(BATCH_EXAMPLES[2])
+    def test_matches_the_one_vertex_peel(self, h):
+        check_batched_strong_degeneracy(h)
+
+    @given(covering_instances())
+    @example(BATCH_EXAMPLES[0])
+    @example(BATCH_EXAMPLES[1])
+    @example(BATCH_EXAMPLES[2])
+    def test_matches_the_one_vertex_peel_when_every_hash_collides(self, h):
         with colliding_keys():
-            self.check_every_floor(h)
+            check_batched_strong_degeneracy(h)
 
 
 class TestSparseCorpus:
@@ -309,7 +323,7 @@ class TestTraceIndex:
         index = TraceIndex(h, strong=True)
         index.delete_vertex(3)
         before = (index.traces(), list(index.deg), list(index.alive), dict(index._by_hash), sorted(index._heap))
-        with pytest.raises(ValueError, match="already deleted|out of range"):
+        with pytest.raises(ValueError, match="already deleted|out of range|repeated"):
             index.delete_vertex(*gone)
         after = (index.traces(), list(index.deg), list(index.alive), dict(index._by_hash), sorted(index._heap))
         assert after == before

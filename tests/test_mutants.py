@@ -1,24 +1,26 @@
-"""Known wrong copies of the engine, each caught by a named property test.
+"""Known wrong copies of the engine, each caught by a named property check.
 
 Each test installs one mutant in place of the function it copies, under
-every module name bound to the original, and runs the named test with a
-derandomized search: the test must fail.  A mutant is a one-line textual
-change to the original's source, so it follows the original as it evolves;
-the change must match exactly once.
+every module name bound to the original, and runs the check that a property
+test draws on over fixed cases: that property's pinned examples and the
+seeded ``sparse_corpus``.  Every case must pass on the original and some
+case must fail with an assertion under the mutant.  A mutant is a one-line
+textual change to the original's source, so it follows the original as it
+evolves; the change must match exactly once.
 """
 
 from __future__ import annotations
 
 import __future__
 import inspect
+import random
 import sys
 import textwrap
 
-from hypothesis import Phase, given, settings
-
 from hypercover._trace_index import TraceIndex
-from hypercover.degeneracy import _best_restriction, _strong_core, _strong_degeneracy_from
+from hypercover.degeneracy import _best_restriction, _strong_core, _strong_degeneracy
 
+from conftest import sparse_corpus
 import test_cover
 import test_degeneracy
 
@@ -45,51 +47,69 @@ def install(monkeypatch, original, replacement) -> None:
                 monkeypatch.setattr(module, name, replacement)
 
 
-def fails(test, owner) -> bool:
-    """Whether the hypothesis test ``test``, a method of ``owner``, fails
-    with an assertion under a derandomized search without shrinking.  It
-    runs as a fresh ``given`` over the same body, strategies and examples,
-    so the suite's own run of ``test`` is left alone."""
-    rerun = given(**test.hypothesis._given_kwargs)(test.hypothesis.inner_test)
-    rerun = settings(test._hypothesis_internal_use_settings, derandomize=True, database=None,
-                     report_multiple_bugs=False, phases=(Phase.explicit, Phase.generate))(rerun)
-    try:
-        rerun(owner())
-    except AssertionError:
-        return True
+def caught(check, cases) -> bool:
+    """Whether ``check`` fails with an assertion on some case (a tuple of
+    its arguments)."""
+    for args in cases:
+        try:
+            check(*args)
+        except AssertionError:
+            return True
     return False
 
 
-def test_bound_that_returns_its_floor(monkeypatch):
-    install(monkeypatch, _strong_degeneracy_from, lambda h, floor: floor)
-    cls = test_cover.TestGreedyCover
-    assert fails(cls.test_bound_is_the_strong_degeneracy, cls)
+def corpus_without_isolated_vertices():
+    return [h for h in sparse_corpus() if len(set().union(*h.edge_sets)) == h.n]
 
 
-def test_bound_that_stops_once_a_batch_takes_half(monkeypatch):
-    wrong = mutant(_strong_degeneracy_from, "len(gone) == live", "2 * len(gone) > live")
-    install(monkeypatch, _strong_degeneracy_from, wrong)
-    cls = test_degeneracy.TestStrongDegeneracyFrom
-    assert fails(cls.test_every_floor_gives_the_strong_degeneracy, cls)
+def deletion_sets(seed: int = 7):
+    """For each corpus instance, seeded disjoint vertex sets whose deletion
+    leaves at least one vertex."""
+    rng = random.Random(seed)
+    for h in sparse_corpus():
+        order = rng.sample(range(h.n), h.n)[:-1]
+        cuts = sorted(rng.sample(range(1, h.n), min(3, h.n - 1))) if h.n > 1 else []
+        bounds = [0, *cuts, len(order)]
+        yield h, [set(order[a:b]) for a, b in zip(bounds, bounds[1:]) if a < b]
+
+
+def test_batched_peel_that_stops_after_one_round(monkeypatch):
+    check = test_degeneracy.check_batched_strong_degeneracy
+    cases = [(h,) for h in (*test_degeneracy.BATCH_EXAMPLES, *sparse_corpus())]
+    assert not caught(check, cases)
+    install(monkeypatch, _strong_degeneracy, mutant(_strong_degeneracy, "index.delete_vertex(*gone)", "break"))
+    assert caught(check, cases)
+
+
+def test_batched_peel_that_stops_once_a_batch_takes_half(monkeypatch):
+    check = test_degeneracy.check_batched_strong_degeneracy
+    cases = [(h,) for h in (*test_degeneracy.BATCH_EXAMPLES, *sparse_corpus())]
+    assert not caught(check, cases)
+    install(monkeypatch, _strong_degeneracy, mutant(_strong_degeneracy, "len(gone) == live", "2 * len(gone) > live"))
+    assert caught(check, cases)
 
 
 def test_search_that_stops_one_below_its_ceiling(monkeypatch):
+    check = test_cover.check_mighty_value
+    cases = [(h,) for h in (*test_cover.MIGHTY_EXAMPLES, *corpus_without_isolated_vertices())]
+    assert not caught(check, cases)
     wrong = mutant(_best_restriction, "while best != ceiling and", "while (ceiling is None or best + 1 < ceiling) and")
     install(monkeypatch, _best_restriction, wrong)
-    cls = test_cover.TestGreedyCover
-    assert fails(cls.test_mighty_value_matches_its_definition, cls)
+    assert caught(check, cases)
 
 
 def test_core_that_peels_a_single_round(monkeypatch):
-    wrong = mutant(_strong_core, "        core ^= low\n", "        core ^= low\n        break\n")
-    install(monkeypatch, _strong_core, wrong)
-    cls = test_degeneracy.TestPeelingMatchesDefinitions
-    assert fails(cls.test_strong_core_matches_its_definition, cls)
+    check = test_degeneracy.check_strong_core
+    assert not caught(check, test_degeneracy.CORE_EXAMPLES)
+    install(monkeypatch, _strong_core, mutant(_strong_core, "        core ^= low\n", "        core ^= low\n        break\n"))
+    assert caught(check, test_degeneracy.CORE_EXAMPLES)
 
 
 def test_deletion_that_skips_merging_two_shrunken_traces(monkeypatch):
+    check = test_degeneracy.TestTraceIndex().check_records
+    cases = list(deletion_sets())
+    assert not caught(check, cases)
     wrong = mutant(TraceIndex.delete_vertex, "while u >= 0 and members[u] != s:",
                    "while u >= 0 and (members[u] != s or u in touched):")
     monkeypatch.setattr(TraceIndex, "delete_vertex", wrong)
-    cls = test_degeneracy.TestTraceIndex
-    assert fails(cls.test_set_deletions_track_restrictions, cls)
+    assert caught(check, cases)
