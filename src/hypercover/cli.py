@@ -2,10 +2,13 @@
 
 One subcommand per capability, composable through pipes: generators write
 ``.hg``/``.gr`` text to stdout and every analysis command reads a file or
-``-`` for stdin.  Results go to stdout (JSON under ``--json``), diagnostics
-to stderr, each warning as one ``warning:`` line.  Exit codes: 0 on success,
-1 on domain errors (reported by their error name), 2 on usage errors.  All
-ids are 1-based on this surface, those named in error messages included.
+``-`` for stdin.  Each command returns its result, a payload or ``.hg``/``.gr``
+text, and :func:`main` writes it to stdout in one place (JSON under
+``--json``); diagnostics go to stderr, each warning as one ``warning:`` line.
+Exit codes: 0 on success, 1 on domain errors (reported by their error name)
+and on output errors (``error: cannot write output: ...``, say a closed
+pipe), 2 on usage errors.  All ids are 1-based on this surface, those named
+in error messages included.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import json
 import sys
 import warnings
 from dataclasses import asdict
+from functools import cache
 from itertools import islice
 from typing import Any
 
@@ -107,40 +111,31 @@ def _emit(payload: dict[str, Any], as_json: bool) -> None:
         write("\n")
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: argparse.Namespace) -> str:
     if args.family == "gap":
-        sys.stdout.write(format_hypergraph(gap_family(args.n)))
-    elif args.family == "tree":
-        sys.stdout.write(format_graph(random_tree(args.n, args.seed)))
-    else:
-        sys.stdout.write(
-            format_hypergraph(
-                random_hypergraph(args.n, args.m, args.max_size, args.seed, args.cover_feasible)
-            )
-        )
-    return 0
+        return format_hypergraph(gap_family(args.n))
+    if args.family == "tree":
+        return format_graph(random_tree(args.n, args.seed))
+    return format_hypergraph(random_hypergraph(args.n, args.m, args.max_size, args.seed, args.cover_feasible))
 
 
-def _cmd_degeneracy(args: argparse.Namespace) -> int:
+def _cmd_degeneracy(args: argparse.Namespace) -> dict[str, Any]:
     h = _load_hypergraph(args)
     if args.kind in ("strong", "plain"):
         order = strong_degeneracy(h) if args.kind == "strong" else degeneracy(h)
-        payload = {
+        return {
             "kind": args.kind,
             "value": order.value,
             "order": _one_based(order.order),
             "step_values": order.step_values,
         }
-    else:
-        value = mighty_degeneracy_bf(h) if args.kind == "mighty-bf" else strong_degeneracy_bf(h)
-        payload = {"kind": args.kind, "value": value, "order": None, "step_values": None}
-    _emit(payload, args.json)
-    return 0
+    value = mighty_degeneracy_bf(h) if args.kind == "mighty-bf" else strong_degeneracy_bf(h)
+    return {"kind": args.kind, "value": value, "order": None, "step_values": None}
 
 
-def _cmd_cover(args: argparse.Namespace) -> int:
+def _cmd_cover(args: argparse.Namespace) -> dict[str, Any]:
     cert = greedy_cover(_load_hypergraph(args), mighty=args.mighty)
-    payload = {
+    return {
         "cover": _one_based(cert.cover),
         "cover_size": len(cert.cover),
         "independent": _one_based(cert.independent),
@@ -150,13 +145,11 @@ def _cmd_cover(args: argparse.Namespace) -> int:
         "mighty_factor": cert.mighty_factor,
         "checks": asdict(cert.checks),
     }
-    _emit(payload, args.json)
-    return 0
 
 
-def _cmd_transversal(args: argparse.Namespace) -> int:
+def _cmd_transversal(args: argparse.Namespace) -> dict[str, Any]:
     cert = greedy_transversal(_load_hypergraph(args))
-    payload = {
+    return {
         "transversal": _one_based(cert.transversal),
         "transversal_size": len(cert.transversal),
         "matching": _one_based(cert.matching),
@@ -165,11 +158,9 @@ def _cmd_transversal(args: argparse.Namespace) -> int:
         "bound_factor": cert.bound_factor,
         "checks": asdict(cert.checks),
     }
-    _emit(payload, args.json)
-    return 0
 
 
-def _cmd_dominate(args: argparse.Namespace) -> int:
+def _cmd_dominate(args: argparse.Namespace) -> dict[str, Any]:
     n, edges = _read_graph(_read_text(args))
     # Fewer than n - 1 edges make no tree.  Rejecting them before the graph
     # is built keeps a tiny header that declares a huge n from costing O(n);
@@ -177,7 +168,7 @@ def _cmd_dominate(args: argparse.Namespace) -> int:
     if len(edges) < n - 1:
         raise NotATreeError("input graph is not a tree")
     cert = tree_domination(Graph.from_edges(n, edges), args.kind)
-    payload = {
+    return {
         "kind": cert.kind,
         "dominating": _one_based(cert.dominating),
         "dominating_size": len(cert.dominating),
@@ -186,11 +177,9 @@ def _cmd_dominate(args: argparse.Namespace) -> int:
         "equal": cert.equal,
         "checks": asdict(cert.checks),
     }
-    _emit(payload, args.json)
-    return 0
 
 
-def _cmd_exact(args: argparse.Namespace) -> int:
+def _cmd_exact(args: argparse.Namespace) -> dict[str, Any]:
     text = _read_text(args)
     if args.problem in GRAPH_PROBLEMS:
         n, edges = _read_graph(text)
@@ -199,19 +188,17 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     else:
         instance = parse_hypergraph(text, strict=args.strict)
     result = exact(instance, args.problem)
-    payload = {
+    return {
         "problem": result.problem,
         "value": result.value,
         "witness": _one_based(result.witness),
         "explored": result.explored,
     }
-    _emit(payload, args.json)
-    return 0
 
 
-def _cmd_vc(args: argparse.Namespace) -> int:
+def _cmd_vc(args: argparse.Namespace) -> dict[str, Any]:
     value, witness = vc_dimension(_load_hypergraph(args))
-    payload = {
+    return {
         "value": value,
         "witness": {
             "set": list(_one_based(witness.set)),
@@ -219,40 +206,33 @@ def _cmd_vc(args: argparse.Namespace) -> int:
             "missing_subset": None if witness.missing_subset is None else list(_one_based(witness.missing_subset)),
         },
     }
-    _emit(payload, args.json)
-    return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> dict[str, Any]:
     ids = _zero_based(args.ids)
     text = _read_text(args)
     if args.kind in GRAPH_CHECK_KINDS:
         valid = check_graph(parse_graph(text), args.kind, ids)
     else:
         valid = check(parse_hypergraph(text, strict=args.strict), args.kind, ids)
-    _emit({"kind": args.kind, "valid": valid}, args.json)
-    return 0
+    return {"kind": args.kind, "valid": valid}
 
 
-def _cmd_dual(args: argparse.Namespace) -> int:
+def _cmd_dual(args: argparse.Namespace) -> dict[str, Any] | str:
     d = dual(_load_hypergraph(args))
-    if args.json:
-        payload = {
-            "n": d.n,
-            "m": d.m,
-            "edges": [_one_based(e) for e in d.edges],
-            "labels": list(d.edge_labels or ()),
-        }
-        _emit(payload, True)
-    else:
-        sys.stdout.write(format_hypergraph(d))
-    return 0
+    if not args.json:
+        return format_hypergraph(d)
+    return {
+        "n": d.n,
+        "m": d.m,
+        "edges": [_one_based(e) for e in d.edges],
+        "labels": list(d.edge_labels or ()),
+    }
 
 
-def _cmd_audit(args: argparse.Namespace) -> int:
+def _cmd_audit(args: argparse.Namespace) -> dict[str, Any]:
     report = neighborhood_equivalence_audit(parse_graph(_read_text(args)), args.trials, args.seed)
-    _emit(asdict(report), args.json)
-    return 0
+    return asdict(report)
 
 
 def _decimal(token: str) -> int:
@@ -271,7 +251,9 @@ def _add_input_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--strict", action="store_true", help="reject duplicate hypergraph edges instead of merging")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing never changes it."""
     parser = argparse.ArgumentParser(prog="hypercover", description="hypergraph covers, degeneracy, and tree domination")
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -366,9 +348,8 @@ def _show_warning(message, category, *_) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     if args.command == "verify" and (error := _read_ids(args)):
@@ -380,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
-            return args.func(args)
+            out = args.func(args)
     except HypercoverError as exc:
         print(f"error: {exc.code}: {exc.render(1)}", file=sys.stderr)
         return 1
@@ -388,6 +369,15 @@ def main(argv: list[str] | None = None) -> int:
         name = getattr(exc, "filename", None) or "input"
         print(f"error: cannot open {name}: {exc.strerror or exc}", file=sys.stderr)
         return 1
+    try:
+        if isinstance(out, str):
+            sys.stdout.write(out)
+        else:
+            _emit(out, args.json)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def run() -> None:

@@ -17,6 +17,7 @@ with 1-based vertex ids in files and 0-based ids everywhere in the API.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -37,10 +38,6 @@ from .errors import (
 )
 
 VC_DEFAULT_CAP = 20
-
-
-def _canonical_edge(edge: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(edge))
 
 
 @dataclass(frozen=True)
@@ -64,7 +61,7 @@ class Hypergraph:
         for edge in self.edges:
             if not edge:
                 raise EmptyEdgeError("edges must be nonempty")
-            if edge != _canonical_edge(edge) or len(set(edge)) != len(edge):
+            if not (isinstance(edge, tuple) and all(map(operator.lt, edge, edge[1:]))):
                 raise ParameterError(f"edge {edge!r} is not a sorted duplicate-free tuple")
             if edge[0] < 0 or edge[-1] >= self.n:
                 raise VertexOutOfRangeError(f"edge {edge!r} leaves vertex range 0..{self.n - 1}")
@@ -83,7 +80,7 @@ class Hypergraph:
         Duplicate edges raise :class:`DuplicateEdgeError` when ``strict``,
         otherwise later copies are dropped with a :class:`FormatWarning`.
         """
-        out = [_canonical_edge(set(raw)) for raw in edges]
+        out = [tuple(sorted(set(raw))) for raw in edges]
         if not strict:
             unique = list(dict.fromkeys(out))
             if len(unique) < len(out):
@@ -357,19 +354,29 @@ def _lex_subsets(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], int]
     return rec((), 0, 0)
 
 
-def shatter_check(h: HypergraphLike, subset: Iterable[int]) -> ShatterWitness:
-    """Is every subset of ``subset`` (including the empty set) a trace?"""
-    s = tuple(sorted(set(subset)))
-    for x in s:
-        _require_vertex(h, x)
-    bit = {v: i for i, v in enumerate(s)}
+def _trace_words(sets: Iterable[frozenset[int]], cand: tuple[int, ...]) -> set[int]:
+    """The traces of ``sets`` on ``cand`` as membership words (bit i for
+    ``cand[i]``), gathered until all 2^|cand| of them are there."""
+    bit = {v: i for i, v in enumerate(cand)}
+    full = 1 << len(cand)
     words: set[int] = set()
-    for eset in h.edge_sets:
+    for eset in sets:
         w = 0
         for v in eset:
             if v in bit:
                 w |= 1 << bit[v]
         words.add(w)
+        if len(words) == full:
+            break
+    return words
+
+
+def shatter_check(h: HypergraphLike, subset: Iterable[int]) -> ShatterWitness:
+    """Is every subset of ``subset`` (including the empty set) a trace?"""
+    s = tuple(sorted(set(subset)))
+    for x in s:
+        _require_vertex(h, x)
+    words = _trace_words(h.edge_sets, s)
     if len(words) == 1 << len(s):
         return ShatterWitness(s, True, None)
     for chosen, word in _lex_subsets(s):
@@ -397,19 +404,8 @@ def vc_dimension(h: HypergraphLike, max_vertices: int = VC_DEFAULT_CAP) -> tuple
     # m of them, so sizes above log2(m) cannot occur.
     top = min(len(universe), len(sets).bit_length() - 1)
     for k in range(top, -1, -1):
-        target = 1 << k
         for cand in combinations(universe, k):
-            bit = {v: i for i, v in enumerate(cand)}
-            words: set[int] = set()
-            for eset in sets:
-                w = 0
-                for v in eset:
-                    if v in bit:
-                        w |= 1 << bit[v]
-                words.add(w)
-                if len(words) == target:
-                    break
-            if len(words) == target:
+            if len(_trace_words(sets, cand)) == 1 << k:
                 return k, ShatterWitness(cand, True, None)
     raise AssertionError("unreachable: the empty set is shattered whenever edges exist")
 

@@ -107,6 +107,13 @@ class TestFrozenValues:
         assert degeneracy(h).value == 1
 
 
+def gap_family_examples(test):
+    """Pin ``gap_family(n)`` for n = 3..8 as examples of a one-argument test."""
+    for n in range(3, 9):
+        test = example(gap_family(n))(test)
+    return test
+
+
 # At k = 2 each round of a path's core peel frees the next; in the closed
 # neighborhoods of a path the ends go first, then their neighbors.
 CORE_EXAMPLES = (
@@ -175,6 +182,28 @@ class TestPeelingMatchesDefinitions:
             <= strong_degeneracy(h).value
             <= degeneracy(h).value
         )
+
+    # The four peel tests above again, on sparse shapes, where strong degrees
+    # cascade under deletion, and on the gap family.
+    @given(sparse_instances())
+    @gap_family_examples
+    def test_order_is_permutation_on_sparse_shapes(self, h):
+        self.test_order_is_permutation.hypothesis.inner_test(self, h)
+
+    @given(sparse_instances())
+    @gap_family_examples
+    def test_each_step_recomputed_from_scratch_on_sparse_shapes(self, h):
+        self.test_each_step_recomputed_from_scratch.hypothesis.inner_test(self, h)
+
+    @given(sparse_instances())
+    @gap_family_examples
+    def test_strong_value_matches_brute_force_on_sparse_shapes(self, h):
+        self.test_strong_value_matches_brute_force.hypothesis.inner_test(self, h)
+
+    @given(sparse_instances())
+    @gap_family_examples
+    def test_parameter_chain_on_sparse_shapes(self, h):
+        self.test_parameter_chain.hypothesis.inner_test(self, h)
 
     @given(st.one_of(hypergraphs(), sparse_instances(max_n=8)), st.integers(min_value=0, max_value=4))
     @example(*CORE_EXAMPLES[0])

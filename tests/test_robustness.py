@@ -5,7 +5,9 @@ huge vertex counts, and the file formats exactly as the README shows them.
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import re
 import subprocess
 import sys
@@ -16,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from hypercover import parse_graph, parse_hypergraph
-from hypercover.cli import main
+from hypercover.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -183,6 +185,35 @@ def test_stdin_that_is_not_utf8_is_a_coded_error():
     )
     assert proc.returncode == 1
     assert proc.stderr.decode().startswith(NOT_UTF8_ERROR)
+
+
+@pytest.mark.parametrize("argv", [["degeneracy", "--kind", "plain"], ["degeneracy", "--kind", "plain", "--json"]])
+def test_a_closed_stdout_is_an_output_error(tmp_path, argv):
+    # The input reads fine; its 200,000-vertex order then meets a reader
+    # that left after 10 bytes.
+    path = tmp_path / "wide.hg"
+    path.write_text("p hg 200000 0\n")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hypercover", *argv, str(path)], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err.decode() == f"error: cannot write output: {os.strerror(errno.EPIPE)}\n"
+
+
+def test_the_reused_parser_keeps_no_ids_between_calls(tmp_path, capsys):
+    # Vertex 1 is a transversal of the one edge; no ids are not.
+    assert build_parser() is build_parser()
+    path = tmp_path / "one_edge.hg"
+    path.write_text("p hg 2 1\ne 1 2\n")
+    outputs = []
+    for ids in (["--ids", "1"], [], [], ["--ids", "1"]):
+        assert main(["verify", "--kind", "transversal", *ids, str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[3] == "kind: transversal\nvalid: True\n"
+    assert outputs[1] == outputs[2] == "kind: transversal\nvalid: False\n"
 
 
 def test_audit_of_a_tiny_edgeless_graph_is_fast(tmp_path, capsys):
