@@ -371,7 +371,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         if isinstance(out, str):
-            sys.stdout.write(out)
+            # 64k slices: an unbuffered write cut short raises nothing; none waits in the 8k buffers.
+            for start in range(0, len(out), 1 << 16):
+                sys.stdout.write(out[start : start + (1 << 16)])
         else:
             _emit(out, args.json)
     except OSError as exc:

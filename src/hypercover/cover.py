@@ -101,10 +101,10 @@ def greedy_cover(h: Hypergraph, mighty: bool = False) -> CoverCertificate:
     if mighty and h.n <= MIGHTY_BF_CAP:
         # The sandwich: the largest step <= the mighty value <= the bound.
         floor = max(per_step, default=0)
-        mighty_value = _best_restriction(h, MIGHTY_BF_CAP, strong_removal=True, floor=floor, ceiling=bound)
+        mighty_value = _best_restriction(h, floor, bound)
     total = sum(per_step)
-    inequality = len(cover) <= total <= bound * len(independent) if independent else len(cover) == 0
-    if mighty_value is not None and independent:
+    inequality = len(cover) <= total <= bound * len(independent)
+    if mighty_value is not None:
         inequality = inequality and total <= mighty_value * len(independent)
     checks = CoverChecks(
         cover_valid=check(h, "edge-cover", cover),

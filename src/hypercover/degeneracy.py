@@ -6,9 +6,9 @@ id on ties) and applies the move until none is left: ``strong_degeneracy``
 (maximal traces through the vertex) and ``degeneracy`` (distinct traces)
 delete it, the greedy cover strongly removes it.  ``_best_restriction``,
 the one exhaustive search, maximises the minimum strong degree over the
-restrictions the move reaches: what is left after removing a union of
-singletons {v} (``strong_degeneracy_bf``) or of closed neighborhoods
-N[v] = {v} plus every edge through v (``mighty_degeneracy_bf``).
+restrictions strong removal reaches: what is left after removing a union
+of closed neighborhoods N[v] = {v} plus every edge through v
+(``mighty_degeneracy_bf``).
 
 Strong degree never rises under deletion (each maximal trace of a smaller
 restriction lies in its own maximal trace of the larger one), so a
@@ -16,15 +16,16 @@ restriction whose minimum strong degree is at least k lies inside the
 strong k-core of every restriction that holds it (Matula and Beck's core
 argument).  The search rests on that fact alone: for k = 1, 2, ... it peels
 the core of what is left and branches on one vertex outside it, over the
-moves that remove that vertex.  No subexponential algorithm is known for
-the mighty value, hence the caps.
+closed neighborhoods that hold it.  No subexponential algorithm is known
+for the mighty value, hence its cap.
 
 The same fact gives the strong degeneracy as the largest k whose strong
-k-core is nonempty.  ``_strong_degeneracy`` finds it in batches: it raises k
-to the minimum degree of what is left, deletes every vertex of degree at
-most k in one call, and stops at the batch that takes all that is left.
-The greedy cover uses it for its bound, which it checks its own steps
-against.
+k-core is nonempty.  ``strong_degeneracy_bf`` peels these cores over vertex
+masks, each from the one below it.  ``_strong_degeneracy`` finds the value
+on the engine's index, in batches: it raises k to the minimum degree of
+what is left, deletes every vertex of degree at most k in one call, and
+stops at the batch that takes all that is left.  The greedy cover uses it
+for its bound, which it checks its own steps against.
 
 The greedy cover knows bounds on the mighty value before it needs it (see
 :mod:`hypercover.cover`): its largest step below, the strong degeneracy
@@ -122,16 +123,6 @@ def _strong_degeneracy(h: Hypergraph) -> int:
     return k
 
 
-def _maximal_traces(traces: set[int]) -> list[int]:
-    """The inclusion-maximal members of ``traces`` (nonempty masks), largest
-    first: a trace inside another lies in a maximal one kept before it."""
-    maximal: list[int] = []
-    for t in sorted(traces, key=int.bit_count, reverse=True):
-        if all(t | u != u for u in maximal):
-            maximal.append(t)
-    return maximal
-
-
 def _strong_core(edge_masks: list[int], subset_mask: int, k: int) -> int:
     """The strong ``k``-core of the restriction to ``subset_mask``: its
     largest subset in which every vertex has strong degree at least ``k``.
@@ -143,7 +134,11 @@ def _strong_core(edge_masks: list[int], subset_mask: int, k: int) -> int:
         traces = {mask & core for mask in edge_masks} - {0}
         if len(traces) < k:
             return 0
-        maximal = _maximal_traces(traces)
+        # The maximal traces, largest first: a trace inside another finds a kept one holding it.
+        maximal: list[int] = []
+        for t in sorted(traces, key=int.bit_count, reverse=True):
+            if all(t | u != u for u in maximal):
+                maximal.append(t)
         low = 0
         rest = core
         while rest:
@@ -181,26 +176,20 @@ def _reaches(edge_masks: list[int], drops: list[int], full: int, k: int) -> bool
     return False
 
 
-def _best_restriction(
-    h: Hypergraph, max_vertices: int, strong_removal: bool, floor: int = 0, ceiling: int | None = None
-) -> int:
+def _best_restriction(h: Hypergraph, floor: int = 0, ceiling: int | None = None) -> int:
     """Maximum of the minimum strong degree over every nonempty restriction
-    reachable by deleting vertices, or by strong removal.
+    reachable by strong removal.
 
     ``floor`` must be a value some reachable restriction attains and
     ``ceiling`` one none exceeds.  Each k from ``floor + 1`` on is tried in
     turn until none reaches it or the ceiling is met."""
-    if h.n > max_vertices:
-        raise TooLargeError(f"{h.n} vertices exceed the cap of {max_vertices}")
     if floor == ceiling:
         return floor
     masks = [sum(1 << v for v in e) for e in h.edges]
-    # What one move drops: {v}, or N[v] under strong removal.
-    drops = [1 << v for v in range(h.n)]
-    if strong_removal:
-        for e, mask in zip(h.edges, masks):
-            for v in e:
-                drops[v] |= mask
+    drops = [1 << v for v in range(h.n)]  # grows to N[v], what strongly removing v drops
+    for e, mask in zip(h.edges, masks):
+        for v in e:
+            drops[v] |= mask
     best = floor
     while best != ceiling and _reaches(masks, drops, (1 << h.n) - 1, best + 1):
         best += 1
@@ -209,12 +198,19 @@ def _best_restriction(
 
 def strong_degeneracy_bf(h: Hypergraph, max_vertices: int = STRONG_BF_CAP) -> int:
     """Exhaustive maximum of the minimum strong degree over every nonempty
-    induced restriction.
+    induced restriction: the largest k whose strong k-core is nonempty.
 
     Raises:
         TooLargeError: more vertices than ``max_vertices``.
     """
-    return _best_restriction(h, max_vertices, strong_removal=False)
+    if h.n > max_vertices:
+        raise TooLargeError(f"{h.n} vertices exceed the cap of {max_vertices}")
+    masks = [sum(1 << v for v in e) for e in h.edges]
+    core, k = (1 << h.n) - 1, 0
+    # The (k + 1)-core lies inside the k-core, so each peel starts there.
+    while core := _strong_core(masks, core, k + 1):
+        k += 1
+    return k
 
 
 def mighty_degeneracy_bf(h: Hypergraph, max_vertices: int = MIGHTY_BF_CAP) -> int:
@@ -224,4 +220,6 @@ def mighty_degeneracy_bf(h: Hypergraph, max_vertices: int = MIGHTY_BF_CAP) -> in
     Raises:
         TooLargeError: more vertices than ``max_vertices``.
     """
-    return _best_restriction(h, max_vertices, strong_removal=True)
+    if h.n > max_vertices:
+        raise TooLargeError(f"{h.n} vertices exceed the cap of {max_vertices}")
+    return _best_restriction(h)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from hypercover import (
     Graph,
     Hypergraph,
+    gap_family,
     neighborhood_hypergraph,
     prufer_decode,
     restrict,
@@ -193,6 +194,18 @@ def sparse_instances(max_n: int = 10):
         return st.one_of(sparse_hypergraphs(max_n=size), neighborhood_hypergraphs(max_n=size))
 
     return st.one_of(shapes(max_n), with_isolated_vertices(shapes(max_n - 3)))
+
+
+@st.composite
+def gap_family_slices(draw, max_n: int = 9):
+    """The restriction of ``gap_family(n)``, n = 3..``max_n``, to a drawn
+    nonempty vertex subset: its distinct nonempty traces, renumbered in id
+    order.  Every vertex of the family lies in an edge, so every slice has
+    an edge cover."""
+    h = gap_family(draw(st.integers(min_value=3, max_value=max_n)))
+    sub = restrict(h, draw(st.sets(st.integers(min_value=0, max_value=h.n - 1), min_size=1)))
+    local = {v: i for i, v in enumerate(sub.vertices)}
+    return Hypergraph(len(local), tuple(tuple(local[v] for v in t) for t in sub.traces))
 
 
 def sparse_corpus(count: int = 300, seed: int = 2108):

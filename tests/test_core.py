@@ -61,6 +61,11 @@ class TestConstruction:
         assert h.vertices == (0, 1, 2)
         assert h.incidence == ((0,), (1,), (0,))
 
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(ParameterError) as info:
+            Hypergraph(-1, ())
+        assert str(info.value) == "vertex count must be nonnegative"
+
     def test_empty_edge_rejected(self):
         with pytest.raises(EmptyEdgeError):
             Hypergraph(2, ((),))

@@ -6,6 +6,7 @@ import weakref
 
 import pytest
 from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hypercover import (
     Hypergraph,
@@ -21,7 +22,7 @@ from hypercover import (
 from hypercover._trace_index import TraceIndex
 from hypercover.errors import CertificateError, IsolatedVertexError
 
-from conftest import covering_hypergraphs, covering_instances, mighty_degeneracy_ref
+from conftest import covering_hypergraphs, covering_instances, gap_family_slices, mighty_degeneracy_ref
 
 # The largest step is 2 and the strong degeneracy 10.
 GAP12 = gap_family(12)
@@ -70,7 +71,7 @@ class TestGreedyCover:
     def test_mighty_skipped_by_default(self):
         assert greedy_cover(gap_family(5)).mighty_factor is None
 
-    @given(covering_instances())
+    @given(st.one_of(covering_instances(), gap_family_slices()))
     def test_certificate_invariants(self, h):
         cert = greedy_cover(h, mighty=True)
         assert check(h, "edge-cover", cert.cover)

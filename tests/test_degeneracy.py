@@ -38,6 +38,7 @@ from hypercover.errors import TooLargeError
 from conftest import (
     covering_hypergraphs,
     covering_instances,
+    gap_family_slices,
     hypergraphs,
     mighty_degeneracy_ref,
     plain_degeneracy_bf,
@@ -167,11 +168,11 @@ class TestPeelingMatchesDefinitions:
     def test_plain_value_matches_brute_force(self, h):
         assert degeneracy(h).value == plain_degeneracy_bf(h)
 
-    @given(st.one_of(hypergraphs(max_n=8), sparse_instances()))
+    @given(st.one_of(hypergraphs(max_n=8), sparse_instances(), gap_family_slices()))
     def test_mighty_value_matches_its_definition(self, h):
         assert mighty_degeneracy_bf(h) == mighty_degeneracy_ref(h)
 
-    @given(st.one_of(hypergraphs(), sparse_instances(max_n=8)))
+    @given(st.one_of(hypergraphs(), sparse_instances(max_n=8), gap_family_slices()))
     def test_strong_search_matches_its_definition(self, h):
         assert strong_degeneracy_bf(h) == strong_degeneracy_ref(h)
 
@@ -205,7 +206,10 @@ class TestPeelingMatchesDefinitions:
     def test_parameter_chain_on_sparse_shapes(self, h):
         self.test_parameter_chain.hypothesis.inner_test(self, h)
 
-    @given(st.one_of(hypergraphs(), sparse_instances(max_n=8)), st.integers(min_value=0, max_value=4))
+    @given(
+        st.one_of(hypergraphs(), sparse_instances(max_n=8), gap_family_slices()),
+        st.integers(min_value=0, max_value=4),
+    )
     @example(*CORE_EXAMPLES[0])
     @example(*CORE_EXAMPLES[1])
     def test_strong_core_matches_its_definition(self, h, k):
@@ -262,8 +266,7 @@ class TestSparseCorpus:
             assert mighty_degeneracy_bf(h) == mighty, h
             assert strong_degeneracy_bf(h) == strong, h
             # The tightest ceiling a caller may pass is the value itself.
-            assert _best_restriction(h, h.n, strong_removal=True, ceiling=mighty) == mighty, h
-            assert _best_restriction(h, h.n, strong_removal=False, ceiling=strong) == strong, h
+            assert _best_restriction(h, 0, mighty) == mighty, h
             if len(set().union(*h.edge_sets)) == h.n:
                 assert greedy_cover(h, mighty=True).mighty_factor == mighty, h
 

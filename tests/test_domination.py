@@ -75,6 +75,23 @@ class TestGraph:
         with pytest.raises(ParameterError):
             Graph(2, ((1,), ()))
 
+    # Built directly: ``from_edges`` rejects these inputs before they get here.
+    @pytest.mark.parametrize(
+        "n, adj, error, message",
+        [
+            (-1, (), ParameterError, "vertex count must be nonnegative"),
+            (2, ((1,),), ParameterError, "adjacency table must have one row per vertex"),
+            (3, ((2, 1), (0,), (0,)), ParameterError, "neighbor row of 0 is not sorted and duplicate-free"),
+            (2, ((), (0, 0)), ParameterError, "neighbor row of 1 is not sorted and duplicate-free"),
+            (2, ((2,), ()), VertexOutOfRangeError, "vertex 2 outside 0..1"),
+            (2, ((0,), ()), ParameterError, "self-loop at 0"),
+        ],
+    )
+    def test_direct_construction_rules(self, n, adj, error, message):
+        with pytest.raises(error) as info:
+            Graph(n, adj)
+        assert str(info.value) == message
+
 
 class TestGraphFormat:
     P4 = "p edge 4 3\ne 1 2\ne 2 3\ne 3 4\n"

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from hypercover import parse_graph, parse_hypergraph
+from hypercover import format_hypergraph, parse_graph, parse_hypergraph, random_hypergraph
 from hypercover.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -187,20 +187,44 @@ def test_stdin_that_is_not_utf8_is_a_coded_error():
     assert proc.stderr.decode().startswith(NOT_UTF8_ERROR)
 
 
+def closed_after_10_bytes(argv: list[str], env: dict[str, str] | None = None) -> tuple[int, str]:
+    """Run the command line on ``argv``, read 10 bytes of its stdout and
+    close the pipe; return the exit code and stderr."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hypercover", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    return proc.returncode, err.decode()
+
+
+BROKEN_PIPE = f"error: cannot write output: {os.strerror(errno.EPIPE)}\n"
+
+
 @pytest.mark.parametrize("argv", [["degeneracy", "--kind", "plain"], ["degeneracy", "--kind", "plain", "--json"]])
 def test_a_closed_stdout_is_an_output_error(tmp_path, argv):
     # The input reads fine; its 200,000-vertex order then meets a reader
     # that left after 10 bytes.
     path = tmp_path / "wide.hg"
     path.write_text("p hg 200000 0\n")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "hypercover", *argv, str(path)], stdout=subprocess.PIPE, stderr=subprocess.PIPE
-    )
-    assert len(proc.stdout.read(10)) == 10
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=120)
-    assert proc.returncode == 1
-    assert err.decode() == f"error: cannot write output: {os.strerror(errno.EPIPE)}\n"
+    assert closed_after_10_bytes([*argv, str(path)]) == (1, BROKEN_PIPE)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("command", ["gen", "dual"])
+def test_a_closed_stdout_is_an_output_error_for_text_too(tmp_path, command, unbuffered):
+    # About 260 kB of .hg text, more than a pipe holds, so the reader leaves
+    # mid-write; unbuffered, a single write cut short would raise nothing.
+    argv = ["gen", "hg", "--n", "10000", "--m", "20000", "--max-size", "3", "--seed", "1", "--cover-feasible"]
+    if command == "dual":
+        path = tmp_path / "big.hg"
+        path.write_text(format_hypergraph(random_hypergraph(10000, 20000, 3, seed=1, cover_feasible=True)))
+        argv = ["dual", str(path)]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    assert closed_after_10_bytes(argv, env) == (1, BROKEN_PIPE)
 
 
 def test_the_reused_parser_keeps_no_ids_between_calls(tmp_path, capsys):
