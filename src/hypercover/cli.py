@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from dataclasses import asdict
@@ -383,4 +384,18 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    code = main()
+    # What main left in the stdout buffer would otherwise meet a closed pipe
+    # in the interpreter's exit flush, outside any handler.
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        # The failed flush keeps the data; the exit flush now writes it to
+        # devnull, as the Python documentation advises for SIGPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if code == 0:
+            print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        code = 1
+    sys.exit(code)

@@ -1,11 +1,17 @@
-"""Exact reference solvers by exhaustive subset search.
+"""Exact reference solvers by a pruned subset search.
 
-Candidates are enumerated by size (ascending for minimization, descending
-for maximization) and lexicographically within a size, so the first
-feasible hit is the optimum with the lexicographically least witness.
-Every witness is re-validated through the definition checkers before being
-returned.  These run in exponential time and exist to certify the fast
-paths on small instances, hence the hard size caps.
+The optimum is a smallest feasible set for a minimization and a largest for
+a maximization, and its witness is the lexicographically least optimal set.
+A depth-first search visits id sets in lexicographic order and cuts every
+branch that cannot beat the best set found so far, so it reaches far fewer
+sets than there are subsets.  ``explored`` is the witness's 1-based position
+in the order by size (ascending for minimization, descending for
+maximization), then lexicographic within a size: the number of candidates
+that a plain enumeration in that order tries before its first feasible one.
+It is computed from the witness's rank, so its values are those of that
+enumeration.  Every witness is re-validated through the definition checkers
+before being returned.  These run in exponential time and exist to certify
+the fast paths on small instances, hence the hard size caps.
 
 Every problem is one of two searches over one family of bit masks: a
 covering search (fewest masks whose union is the whole target) or a packing
@@ -21,9 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
+from math import comb
 from operator import or_
-from typing import Callable, Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple, Union
 
 from .core import Hypergraph, check
 from .domination import Graph, check_graph
@@ -65,45 +71,57 @@ class ExactResult:
     explored: int
 
 
-def _search(
-    ground: int,
-    minimize: bool,
-    feasible: Callable[[tuple[int, ...]], bool],
-) -> tuple[int, tuple[int, ...], int] | None:
-    sizes = range(ground + 1) if minimize else range(ground, -1, -1)
-    explored = 0
-    for k in sizes:
-        for candidate in combinations(range(ground), k):
-            explored += 1
-            if feasible(candidate):
-                return k, candidate, explored
-    return None
+def _search(masks: list[int], full: int, covering: bool) -> tuple[int, tuple[int, ...], int] | None:
+    """Value, lexicographically least witness and ``explored`` of the
+    fewest masks whose union is ``full`` when ``covering``, else of the most
+    pairwise disjoint masks; ``None`` when no subset qualifies.
 
+    A set is recorded only when it is strictly better than the best so far,
+    so the first set of the optimal size that the search reaches is the
+    least one.  A covering branch stops once the masks from ``j`` on cannot
+    complete its union or one more mask would make it as large as the best;
+    a packing branch stops once the masks left cannot make it larger.
+    """
+    g = len(masks)
+    rest = [0] * (g + 1)  # rest[j] is the union of masks[j:]
+    for j in reversed(range(g)):
+        rest[j] = masks[j] | rest[j + 1]
+    chosen: list[int] = []
+    best: tuple[int, ...] | None = None
+    bound = g + 1 if covering else -1  # the size of ``best``, or one any set beats
 
-def _covering(masks: list[int], full: int) -> Callable[[tuple[int, ...]], bool]:
-    """Feasibility of "the chosen masks cover every bit of ``full``"."""
+    def visit(start: int, acc: int) -> None:
+        nonlocal best, bound
+        size = len(chosen)
+        if covering:
+            if acc == full:
+                best, bound = tuple(chosen), size
+                return
+        elif size > bound:
+            best, bound = tuple(chosen), size
+        for j in range(start, g):
+            if covering:
+                if acc | rest[j] != full or size + 1 >= bound:
+                    return
+            elif size + g - j <= bound:
+                return
+            elif acc & masks[j]:
+                continue
+            chosen.append(j)
+            visit(j + 1, acc | masks[j])
+            chosen.pop()
 
-    def covers(candidate: tuple[int, ...]) -> bool:
-        acc = 0
-        for i in candidate:
-            acc |= masks[i]
-        return acc == full
-
-    return covers
-
-
-def _packing(masks: list[int]) -> Callable[[tuple[int, ...]], bool]:
-    """Feasibility of "the chosen masks are pairwise disjoint"."""
-
-    def packs(candidate: tuple[int, ...]) -> bool:
-        acc = 0
-        for i in candidate:
-            if acc & masks[i]:
-                return False
-            acc |= masks[i]
-        return True
-
-    return packs
+    visit(0, 0)
+    if best is None:
+        return None
+    # The witness's position: every set of a size tried earlier, then its
+    # lexicographic rank among the k-sets, which is C(g, k) - 1 less the
+    # k-sets after it; those that first differ at its i-th id count
+    # C(g - 1 - c, k - i).
+    k = len(best)
+    before = sum(comb(g, size) for size in (range(k) if covering else range(k + 1, g + 1)))
+    rank = comb(g, k) - 1 - sum(comb(g - 1 - c, k - i) for i, c in enumerate(best))
+    return k, best, before + rank + 1
 
 
 def _mask(ids: Iterable[int]) -> int:
@@ -158,8 +176,7 @@ def exact(instance: Union[Hypergraph, Graph], problem: str) -> ExactResult:
     full = (1 << bits) - 1
     if spec.covering and reduce(or_, masks, 0) != full:
         raise InfeasibleError(f"{problem}: an isolated vertex lies in no {'edge' if hypergraph else 'neighborhood'}")
-    feasible = _covering(masks, full) if spec.covering else _packing(masks)
-    found = _search(len(masks), spec.covering, feasible)
+    found = _search(masks, full, spec.covering)
     # Named here, not in _TABLE, so a checker replaced at run time is used.
     checker = check if hypergraph else check_graph
     # A packing search always finds the empty set and a covering search the

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import random
+from itertools import combinations
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from hypercover import (
     strong_degree,
     strong_remove,
 )
+from hypercover.oracles import _TABLE, _masks
 
 # Subprocesses (``python -m hypercover``, the demos) import this checkout's
 # package too, installed or not.
@@ -72,6 +74,33 @@ def mighty_degeneracy_ref(h):
         if sub is not None:
             best = max(best, min(strong_degree(sub, v) for v in sub.vertices))
     return best
+
+
+def exact_ref(instance, problem):
+    """``exact`` by plain enumeration: (value, witness, explored) of the
+    first feasible id set in the order by size (ascending for a covering
+    problem, descending for a packing one), then lexicographic, with
+    ``explored`` the number of sets tried; ``None`` when none is feasible."""
+    spec = _TABLE[problem]
+    masks, bits = _masks(instance, spec.family)
+    full = (1 << bits) - 1
+    g = len(masks)
+
+    def feasible(candidate):
+        acc = 0
+        for i in candidate:
+            if not spec.covering and acc & masks[i]:
+                return False
+            acc |= masks[i]
+        return not spec.covering or acc == full
+
+    explored = 0
+    for k in range(g + 1) if spec.covering else range(g, -1, -1):
+        for candidate in combinations(range(g), k):
+            explored += 1
+            if feasible(candidate):
+                return k, candidate, explored
+    return None
 
 
 @st.composite

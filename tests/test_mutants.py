@@ -19,10 +19,12 @@ import textwrap
 
 from hypercover._trace_index import TraceIndex
 from hypercover.degeneracy import _best_restriction, _strong_core, _strong_degeneracy
+from hypercover.oracles import _search
 
 from conftest import sparse_corpus
 import test_cover
 import test_degeneracy
+import test_oracles
 
 
 def mutant(fn, old: str, new: str):
@@ -112,4 +114,21 @@ def test_deletion_that_skips_merging_two_shrunken_traces(monkeypatch):
     wrong = mutant(TraceIndex.delete_vertex, "while u >= 0 and members[u] != s:",
                    "while u >= 0 and (members[u] != s or u in touched):")
     monkeypatch.setattr(TraceIndex, "delete_vertex", wrong)
+    assert caught(check, cases)
+
+
+def test_search_that_records_a_cover_as_large_as_the_best(monkeypatch):
+    # The later of two smallest covers replaces the lexicographically least.
+    check = test_oracles.check_exact_matches_enumeration
+    cases = [(x,) for x in test_oracles.EXACT_EXAMPLES.values()]
+    assert not caught(check, cases)
+    install(monkeypatch, _search, mutant(_search, "size + 1 >= bound", "size + 1 > bound"))
+    assert caught(check, cases)
+
+
+def test_packing_bound_one_too_strict(monkeypatch):
+    check = test_oracles.check_exact_matches_enumeration
+    cases = [(x,) for x in test_oracles.EXACT_EXAMPLES.values()]
+    assert not caught(check, cases)
+    install(monkeypatch, _search, mutant(_search, "size + g - j <= bound", "size + g - j <= bound + 1"))
     assert caught(check, cases)

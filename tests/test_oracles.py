@@ -1,11 +1,12 @@
 """Brute-force optima: frozen small answers, feasibility errors, size caps,
-and weak-duality relations on random instances.
+the search against a plain enumeration, and weak-duality relations on
+random instances.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from hypercover import (
     Graph,
@@ -13,15 +14,18 @@ from hypercover import (
     check,
     check_graph,
     dual,
+    ExactResult,
     exact,
     gap_family,
     greedy_cover,
     greedy_transversal,
     path_graph,
+    random_hypergraph,
 )
 from hypercover.errors import InfeasibleError, ParameterError, TooLargeError
+from hypercover.oracles import GRAPH_PROBLEMS, HYPERGRAPH_PROBLEMS
 
-from conftest import covering_hypergraphs, graphs
+from conftest import covering_hypergraphs, exact_ref, graphs, sparse_covering_hypergraphs
 
 
 # Candidates tried before the first feasible one, kept outside the
@@ -73,6 +77,49 @@ class TestFrozenAnswers:
     def test_witness_is_lexicographically_least(self):
         # (0, 2) dominates the path before (1, 2) is ever tried
         assert exact(path_graph(4), "min-dominating").witness == (0, 2)
+
+
+    def test_answers_at_the_caps(self):
+        # 16 vertices and 22 edges; the plain enumeration takes seconds on
+        # the matching, which is the 3,894,666th set it would try.
+        h = random_hypergraph(16, 22, 3, 0, cover_feasible=True)
+        assert exact(h, "max-matching") == ExactResult("max-matching", 8, (5, 7, 8, 9, 11, 16, 17, 19), 3_894_666)
+        assert exact(h, "min-edge-cover") == ExactResult("min-edge-cover", 6, (0, 1, 2, 3, 4, 5), 35_444)
+
+
+# The empty instances, vertices in no edge (masks 0), a graph vertex with no
+# neighbor, two smallest edge covers of which (0, 1) comes first, and the
+# gap family.
+EXACT_EXAMPLES = {
+    "empty-hypergraph": Hypergraph(0, ()),
+    "empty-graph": Graph(0, ()),
+    "vertices-in-no-edge": Hypergraph(3, ((0,),)),
+    "vertex-with-no-neighbor": Graph(3, ((1,), (0,), ())),
+    "tied-covers": Hypergraph(5, ((0, 1, 3, 4), (2,), (3,), (0, 1, 2))),
+    **{f"gap{n}": gap_family(n) for n in range(3, 10)},
+}
+
+
+def check_exact_matches_enumeration(instance):
+    """Every problem of ``instance``: ``exact`` equals the plain enumeration
+    in value, witness and ``explored``, and is infeasible where it is."""
+    for problem in HYPERGRAPH_PROBLEMS if isinstance(instance, Hypergraph) else GRAPH_PROBLEMS:
+        try:
+            result = exact(instance, problem)
+        except InfeasibleError:
+            result = None
+        found = None if result is None else (result.value, result.witness, result.explored)
+        assert found == exact_ref(instance, problem), problem
+
+
+class TestSearchMatchesEnumeration:
+    @pytest.mark.parametrize("instance", EXACT_EXAMPLES.values(), ids=EXACT_EXAMPLES)
+    def test_pinned_cases(self, instance):
+        check_exact_matches_enumeration(instance)
+
+    @given(st.one_of(sparse_covering_hypergraphs(), covering_hypergraphs(), graphs()))
+    def test_random_instances(self, instance):
+        check_exact_matches_enumeration(instance)
 
 
 class TestErrors:

@@ -227,6 +227,27 @@ def test_a_closed_stdout_is_an_output_error_for_text_too(tmp_path, command, unbu
     assert closed_after_10_bytes(argv, env) == (1, BROKEN_PIPE)
 
 
+@pytest.mark.parametrize("argv", [["gen", "gap", "--n", "5"], ["degeneracy", "--kind", "plain"]])
+def test_a_closed_stdout_is_an_output_error_when_the_buffer_holds_the_rest(tmp_path, argv):
+    # Buffered stdout on a pipe that no one reads: the gap instance fits in
+    # the buffer and meets the pipe only when it is flushed; the 3000-vertex
+    # order overflows it in main, and the rest stays buffered.
+    if argv[0] == "degeneracy":
+        path = tmp_path / "wide.hg"
+        path.write_text("p hg 3000 0\n")
+        argv = [*argv, str(path)]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hypercover", *argv], stdout=write, stderr=subprocess.PIPE, env=env, timeout=120
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr.decode()) == (1, BROKEN_PIPE)
+
+
 def test_the_reused_parser_keeps_no_ids_between_calls(tmp_path, capsys):
     # Vertex 1 is a transversal of the one edge; no ids are not.
     assert build_parser() is build_parser()
