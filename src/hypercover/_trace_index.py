@@ -1,34 +1,40 @@
-"""Incremental index of the distinct traces of a hypergraph under vertex
-deletions.
+"""Incremental index of the traces of a hypergraph under vertex deletions.
 
 Peeling and the greedy cover both repeatedly ask for the vertex whose
 degree (plain or strong) is minimal in the current restriction, then delete
 vertices.  Recomputing the restriction from scratch after every deletion is
-quadratic; this index maintains the distinct-trace family, maximality
-flags, and per-vertex degrees across deletions instead.
+quadratic; this index keeps the traces that count and, for each vertex, the
+row of those through it, whose size is the vertex's degree.  A plain index
+keeps every distinct trace; a strong index keeps only the maximal ones.
 
 Each trace has a stable integer id (at build time, the id of the edge that
-generates it) holding a mutable member set, its representative (smallest
-generating edge id), a maximality flag, and a 64-bit XOR of per-vertex
+generates it) holding a mutable member set and a 64-bit XOR of per-vertex
 random keys (Zobrist hashing).  Deleting a set ``R`` shrinks each trace
 meeting ``R`` in place, once: discarding a member and XOR-ing its key out
-are O(1) and the id stays, so no other vertex's incidence set changes.  A
-hash -> id table, confirmed by an exact member-set compare, finds the
-traces that became equal.  A deletion costs the sum over ``x`` in ``R`` of
-the traces through ``x``, plus |t| per merged trace, plus one dominance
-scan per re-checked trace.
+are O(1) and the id stays, so no other vertex's row changes.  A hash -> id
+table, confirmed by an exact member-set compare, finds the traces that
+became equal, and all but one of each equal group is dropped.
 
-The transition rules rely on three facts about deleting a set ``R``:
+A strong index rests on three facts about deleting a set ``R``:
 
-* a trace meeting ``R`` loses exactly its members in ``R``; a merge joins
-  traces left equal: two shrunken ones, or a shrunken one and a trace
-  outside ``R`` that it strictly contained (so that one was not maximal);
-* containments never break, as ``t < u`` gives ``t - R <= u - R``: a trace
-  that neither shrank nor merged keeps its status, and a shrunken
-  non-maximal trace stays non-maximal unless the maximal trace above it
-  merged with it;
-* only a maximal trace that shrank, or the survivor of a merge with a
-  maximal trace, can change status, so only those are re-checked.
+* only maximal traces are kept: the build drops every edge strictly inside
+  another, and a deletion drops every shrunk trace that became equal to,
+  or strictly inside, another;
+* a dropped trace never returns, as ``t < u`` gives ``t - R <= u - R``: a
+  trace inside another stays inside it, or inside what it merged into;
+* equal pairs arise only among shrunk traces: a kept trace that missed
+  ``R`` was not inside any trace, so it is not inside or equal to what one
+  shrank to.  It keeps its status, and only the shrunk survivors are
+  re-checked, each by one scan of the shortest row among its members.
+
+A deletion thus costs the sum over ``x`` in ``R`` of the kept traces
+through ``x``, plus |t| per dropped trace, plus one dominance scan per
+shrunk survivor of a strong index.  Dropped traces cost nothing again.
+
+No representative is stored.  The one of a kept trace, the smallest base
+edge generating it, is found on demand by ``maximal_traces_at`` and
+``traces()``: the first edge, in the base incidence row of one of its
+members, that holds the trace and no other live vertex.
 
 ``pop_min`` hands out one vertex of minimum degree; ``pop_at_most(k)`` every
 live vertex of degree at most ``k``, the batch of a core peel.  Degrees never
@@ -42,6 +48,7 @@ import random
 from heapq import heappop, heappush
 
 from .core import Hypergraph
+from .errors import CertificateError
 
 
 # One key table per process, shared by every index and only ever extended:
@@ -61,21 +68,21 @@ def _zobrist_keys(n: int) -> list[int]:
 
 
 class TraceIndex:
-    """Mutable view of the distinct traces of ``h`` on a shrinking vertex set.
+    """Mutable view of the traces of ``h`` on a shrinking vertex set.
 
-    With ``strong=True`` the tracked degree of a vertex is the number of
-    maximal traces containing it; otherwise the number of distinct traces,
-    and maximality is not tracked.
+    With ``strong=True`` only the maximal traces are kept, so the degree of
+    a vertex is the number of maximal traces containing it; otherwise every
+    distinct trace is kept and the degree is the plain one.
     """
 
     def __init__(self, h: Hypergraph, strong: bool = True):
         self.strong = strong
         self.alive = [True] * h.n
+        self._h = h
         keys = self._keys = _zobrist_keys(h.n)
-        # Per trace id; a dead id has members None.  Base edges are distinct,
-        # so edge i starts as trace i.
+        # Per trace id; a dropped id has members None.  Base edges are
+        # distinct, so edge i starts as trace i.
         self._members: list[set[int] | None] = [set(e) for e in h.edges]
-        self._rep = list(range(h.m))
         self._hash: list[int] = []
         # Hash chains: _by_hash[code] heads the ids with that hash, _next
         # links them (-1 ends a chain).
@@ -93,20 +100,24 @@ class TraceIndex:
             self._next.append(by_hash.get(code, -1))
             by_hash[code] = t
         if strong:
-            self._maximal = [not self._dominated(t) for t in range(h.m)]
-            maximal = self._maximal
-            self.deg = [sum(map(maximal.__getitem__, row)) for row in vertex_traces]
-        else:
-            self._maximal = [False] * h.m
-            self.deg = [len(row) for row in vertex_traces]
-        self._heap: list[tuple[int, int]] = [(d, v) for v, d in enumerate(self.deg)]
+            # Any order works: what lies above a dropped edge lies in a kept one.
+            for t in range(h.m):
+                if self._dominated(t):
+                    self._unlink(t)
+                    self._drop(t)
+        self._heap: list[tuple[int, int]] = [(len(row), v) for v, row in enumerate(vertex_traces)]
         self._heap.sort()
 
+    @property
+    def deg(self) -> list[int]:
+        """The degree of each vertex: the size of its row, 0 once deleted."""
+        return [len(row) for row in self._vertex_traces]
+
     def _dominated(self, t: int) -> bool:
-        # Scan the incidence set of the member lying in the fewest traces;
-        # any trace above t passes through every member of t, so a member
-        # in t alone settles it.  A set's ``<`` fails in O(1) unless the
-        # right side is larger.
+        # Scan the row of the member lying in the fewest traces; any trace
+        # above t passes through every member of t, so a member in t alone
+        # settles it.  A set's ``<`` fails in O(1) unless the right side is
+        # larger.
         vertex_traces = self._vertex_traces
         s = self._members[t]
         pivot: set[int] = set()
@@ -140,11 +151,36 @@ class TraceIndex:
             head = nxt[head]
         nxt[head] = nxt[t]
 
-    def traces(self) -> dict[frozenset[int], tuple[int, bool]]:
-        """Snapshot of the live traces: members -> (representative, is_maximal).
-        The flag is meaningful only with ``strong=True``."""
+    def _drop(self, t: int) -> set[int]:
+        """Remove ``t`` from its members' rows, for good; returns the members."""
+        s, self._members[t] = self._members[t], None
+        vertex_traces = self._vertex_traces
+        for v in s:
+            vertex_traces[v].discard(t)
+        return s
+
+    def _representative(self, t: int, v: int) -> int:
+        """The smallest base edge generating kept trace ``t``, a member of
+        which is ``v``: the first edge through ``v`` holding every member of
+        ``t`` and no other live vertex.
+
+        Raises:
+            CertificateError: no base edge generates ``t``.
+        """
+        s = self._members[t]
+        alive = self.alive
+        edges = self._h.edges
+        for e in self._h.incidence[v]:
+            live = [w for w in edges[e] if alive[w]]
+            if len(live) == len(s) and s.issuperset(live):
+                return e
+        raise CertificateError(f"no edge generates the trace {sorted(s)}")
+
+    def traces(self) -> dict[frozenset[int], int]:
+        """Snapshot of the kept traces, each with its representative: with
+        ``strong=True`` the maximal traces, otherwise every distinct one."""
         return {
-            frozenset(s): (self._rep[t], self._maximal[t])
+            frozenset(s): self._representative(t, min(s))
             for t, s in enumerate(self._members)
             if s is not None
         }
@@ -154,7 +190,7 @@ class TraceIndex:
         heap = self._heap
         while heap:
             d, v = heappop(heap)
-            if self.alive[v] and self.deg[v] == d:
+            if self.alive[v] and len(self._vertex_traces[v]) == d:
                 return d, v
         return None
 
@@ -163,21 +199,19 @@ class TraceIndex:
         order.  Each live vertex has one current heap entry, so none repeats."""
         heap = self._heap
         alive = self.alive
-        deg = self.deg
+        vertex_traces = self._vertex_traces
         out = []
         while heap and heap[0][0] <= k:
             d, v = heappop(heap)
-            if alive[v] and deg[v] == d:
+            if alive[v] and len(vertex_traces[v]) == d:
                 out.append(v)
         return out
 
     def maximal_traces_at(self, v: int) -> list[tuple[int, frozenset[int]]]:
-        """(representative edge id, trace) pairs of the maximal traces through
-        ``v``, ordered by representative (strong index only)."""
+        """(representative edge id, trace) pairs of the kept traces through
+        ``v``, the maximal ones of a strong index, ordered by representative."""
         members = self._members
-        rep = self._rep
-        maximal = self._maximal
-        out = [(rep[t], frozenset(members[t])) for t in self._vertex_traces[v] if maximal[t]]
+        out = [(self._representative(t, v), frozenset(members[t])) for t in self._vertex_traces[v]]
         out.sort()
         return out
 
@@ -200,8 +234,6 @@ class TraceIndex:
         hashes = self._hash
         by_hash = self._by_hash
         nxt = self._next
-        rep = self._rep
-        maximal = self._maximal
         vertex_traces = self._vertex_traces
         # Shrink every trace through gone, unlinked under its old hash first,
         # so the lookups below never meet a trace that is yet to be placed.
@@ -217,8 +249,8 @@ class TraceIndex:
                 hashes[t] ^= key
             vertex_traces[x] = set()
 
-        delta: dict[int, int] = {}
-        recheck: list[int] = []
+        changed: set[int] = set()
+        survivors: list[int] = []
         for t in touched:
             s = members[t]
             if not s:
@@ -232,33 +264,16 @@ class TraceIndex:
             if u < 0:
                 nxt[t] = by_hash.get(code, -1)
                 by_hash[code] = t
-                if maximal[t]:
-                    recheck.append(t)
-                continue
-            # Merge t into the survivor u, which now has the same members.
-            members[t] = None
-            if rep[t] < rep[u]:
-                rep[u] = rep[t]
-            counted = maximal[t] or not self.strong
-            for v in s:
-                vertex_traces[v].discard(t)
-                if counted:
-                    delta[v] = delta.get(v, 0) - 1
-            if maximal[t]:
-                maximal[t] = False
-                recheck.append(u)
+                survivors.append(t)
+            else:
+                changed |= self._drop(t)  # u has the same members and stays
 
-        for t in recheck:
-            now = not self._dominated(t)
-            if now != maximal[t]:
-                maximal[t] = now
-                step = 1 if now else -1
-                for v in members[t]:
-                    delta[v] = delta.get(v, 0) + step
+        if self.strong:
+            for t in survivors:
+                if self._dominated(t):
+                    self._unlink(t)
+                    changed |= self._drop(t)
 
-        deg = self.deg
         heap = self._heap
-        for v, dv in delta.items():
-            if dv:
-                deg[v] += dv
-                heappush(heap, (deg[v], v))
+        for v in changed:
+            heappush(heap, (len(vertex_traces[v]), v))

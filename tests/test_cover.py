@@ -52,6 +52,14 @@ class TestGreedyCover:
         assert cert.checks.independent_valid
         assert cert.checks.inequality_holds
 
+    def test_a_trace_dropped_at_build_keeps_its_edge_as_representative(self):
+        # Edge 0, {1, 2}, lies inside edge 1 at build, so the strong index
+        # never keeps it; after the first step removes {0, 3}, edge 1 shrinks
+        # to {1, 2}, whose smallest generating edge is 0.
+        cert = greedy_cover(Hypergraph(5, ((1, 2), (1, 2, 3), (3, 4), (0, 3))))
+        assert cert.cover == (0, 2, 3)
+        assert cert.independent == (0, 1, 4)
+
     def test_path_neighborhoods(self):
         cert = greedy_cover(neighborhood_hypergraph(path_graph(4)))
         assert cert.cover == (1, 2)

@@ -33,7 +33,7 @@ from hypercover import (
 from hypercover import _trace_index
 from hypercover._trace_index import TraceIndex
 from hypercover.degeneracy import EliminationOrder, _best_restriction, _strong_core, _strong_degeneracy
-from hypercover.errors import TooLargeError
+from hypercover.errors import CertificateError, TooLargeError
 
 from conftest import (
     covering_hypergraphs,
@@ -275,30 +275,27 @@ class TestTraceIndex:
     """White-box checks of the incremental engine against restrictions."""
 
     @staticmethod
-    def snapshot(h, live):
+    def snapshot(h, live, strong):
+        """The traces of the restriction to ``live``, only its maximal ones
+        when ``strong``, each with its representative."""
         sub = restrict(h, live)
-        flags = set(maximal_edges(sub))
-        return {
-            frozenset(t): (rep, i in flags)
-            for i, (t, rep) in enumerate(zip(sub.traces, sub.representatives))
-        }
+        kept = maximal_edges(sub) if strong else range(len(sub.traces))
+        return {frozenset(sub.traces[i]): sub.representatives[i] for i in kept}
 
     def check_records(self, h, parts):
-        """Delete each part with one call; after each, the traces and the
-        degrees must match the recomputed restriction."""
+        """Delete each part with one call; after the build and after each
+        call, the kept traces, their representatives and the degrees must
+        match the recomputed restriction."""
         for strong in (True, False):
             index = TraceIndex(h, strong=strong)
             live = set(range(h.n))
-            for part in parts:
+            count = strong_degree if strong else degree
+            # The empty first part deletes nothing, so the build is checked.
+            for part in (set(), *parts):
                 index.delete_vertex(*part)
                 live -= part
-                expected = self.snapshot(h, live)
-                got = index.traces()
-                if not strong:
-                    got = {t: (rep, expected[t][1]) for t, (rep, _) in got.items()}
-                assert got == expected
+                assert index.traces() == self.snapshot(h, live, strong)
                 sub = restrict(h, live)
-                count = strong_degree if strong else degree
                 assert {v: index.deg[v] for v in live} == {v: count(sub, v) for v in live}
 
     @staticmethod
@@ -362,7 +359,7 @@ class TestTraceIndex:
         # The index still follows its restrictions: {0, 1} and {1, 2}
         # shrink to {0} and {2}, both inside {0, 2}.
         index.delete_vertex(1)
-        assert index.traces() == self.snapshot(h, {0, 2})
+        assert index.traces() == self.snapshot(h, {0, 2}, strong=True)
         sub = restrict(h, {0, 2})
         assert [index.deg[0], index.deg[2]] == [strong_degree(sub, 0), strong_degree(sub, 2)]
 
@@ -382,9 +379,17 @@ class TestTraceIndex:
         # {0, 1} and {0, 2} both shrink to {0}: neither was inside the other.
         index = TraceIndex(Hypergraph(3, ((0, 1), (0, 2))), strong=True)
         index.delete_vertex(1, 2)
-        assert index.traces() == {frozenset({0}): (0, True)}
+        assert index.traces() == {frozenset({0}): 0}
         assert index.deg[0] == 1
         assert index.pop_min() == (1, 0)
+
+    def test_a_kept_trace_that_no_edge_generates_is_a_certificate_error(self):
+        index = TraceIndex(Hypergraph(3, ((0, 1), (1, 2))), strong=True)
+        index._members[0].add(2)  # {0, 1, 2}: no base edge generates it
+        with pytest.raises(CertificateError, match="no edge generates"):
+            index.traces()
+        with pytest.raises(CertificateError, match="no edge generates"):
+            index.maximal_traces_at(0)
 
     @given(hypergraphs())
     def test_pop_min_reports_current_minimum(self, h):

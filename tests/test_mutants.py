@@ -117,6 +117,22 @@ def test_deletion_that_skips_merging_two_shrunken_traces(monkeypatch):
     assert caught(check, cases)
 
 
+def test_strong_deletion_that_keeps_a_shrunk_trace_inside_another(monkeypatch):
+    check = test_degeneracy.TestTraceIndex().check_records
+    cases = list(deletion_sets())
+    assert not caught(check, cases)
+    monkeypatch.setattr(TraceIndex, "delete_vertex", mutant(TraceIndex.delete_vertex, "if self._dominated(t):", "if False:"))
+    assert caught(check, cases)
+
+
+def test_representative_that_is_the_kept_trace_id(monkeypatch):
+    check = test_degeneracy.TestTraceIndex().check_records
+    cases = list(deletion_sets())
+    assert not caught(check, cases)
+    monkeypatch.setattr(TraceIndex, "_representative", mutant(TraceIndex._representative, "s = self._members[t]", "return t"))
+    assert caught(check, cases)
+
+
 def test_search_that_records_a_cover_as_large_as_the_best(monkeypatch):
     # The later of two smallest covers replaces the lexicographically least.
     check = test_oracles.check_exact_matches_enumeration
