@@ -5,10 +5,10 @@ One subcommand per capability, composable through pipes: generators write
 ``-`` for stdin.  Each command returns its result, a payload or ``.hg``/``.gr``
 text, and :func:`main` writes it to stdout in one place (JSON under
 ``--json``); diagnostics go to stderr, each warning as one ``warning:`` line.
-Exit codes: 0 on success, 1 on domain errors (reported by their error name)
-and on output errors (``error: cannot write output: ...``, say a closed
-pipe), 2 on usage errors.  All ids are 1-based on this surface, those named
-in error messages included.
+Exit codes: 0 on success, 1 on domain errors (reported by their error name),
+on running out of memory and on output errors (``error: cannot write
+output: ...``, say a closed pipe), 2 on usage errors.  All ids are 1-based
+on this surface, those named in error messages included.
 """
 
 from __future__ import annotations
@@ -365,6 +365,9 @@ def main(argv: list[str] | None = None) -> int:
             out = args.func(args)
     except HypercoverError as exc:
         print(f"error: {exc.code}: {exc.render(1)}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
     except OSError as exc:
         name = getattr(exc, "filename", None) or "input"

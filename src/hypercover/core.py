@@ -18,6 +18,7 @@ with 1-based vertex ids in files and 0-based ids everywhere in the API.
 from __future__ import annotations
 
 import operator
+import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -385,18 +386,18 @@ def shatter_check(h: HypergraphLike, subset: Iterable[int]) -> ShatterWitness:
     raise AssertionError("unreachable: fewer words than subsets yet none missing")
 
 
-def vc_dimension(h: HypergraphLike, max_vertices: int = VC_DEFAULT_CAP) -> tuple[int, ShatterWitness]:
+def vc_dimension(h: HypergraphLike) -> tuple[int, ShatterWitness]:
     """Largest size of a shattered vertex set, with a witness.
 
     With no edges at all, nothing (not even the empty set) is shattered;
     the result is then ``0`` with a witness flagged ``shattered=False``.
 
     Raises:
-        TooLargeError: more vertices than ``max_vertices``.
+        TooLargeError: more vertices than ``VC_DEFAULT_CAP``.
     """
     universe = range(h.n) if isinstance(h, Hypergraph) else h.vertices
-    if len(universe) > max_vertices:
-        raise TooLargeError(f"{len(universe)} vertices exceed the cap of {max_vertices}")
+    if len(universe) > VC_DEFAULT_CAP:
+        raise TooLargeError(f"{len(universe)} vertices exceed the cap of {VC_DEFAULT_CAP}")
     sets = h.edge_sets
     if not sets:
         return 0, ShatterWitness((), False, ())
@@ -445,6 +446,8 @@ def _read_header(lines: Iterator[tuple[int, list[str]]], tag: str) -> tuple[int,
         n, m = _decimals(tokens[2:])
     except ValueError:
         raise FormatError(f"line {lineno}: header counts must be written with the digits 0-9") from None
+    if max(n, m) > sys.maxsize:
+        raise FormatError(f"line {lineno}: header counts must not exceed {sys.maxsize}")
     return n, m
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Hypergraph, _reject_isolated, check, dual
-from .degeneracy import MIGHTY_BF_CAP, _best_restriction, _peel, _strong_degeneracy
+from .degeneracy import _best_restriction, _peel, _strong_degeneracy
 from .errors import CertificateError
 
 
@@ -82,9 +82,8 @@ class TransversalCertificate:
 def greedy_cover(h: Hypergraph, mighty: bool = False) -> CoverCertificate:
     """Run the strong-degree greedy and return a self-checked certificate.
 
-    With ``mighty=True`` the mighty value is attached when the instance has
-    at most ``MIGHTY_BF_CAP`` vertices, searched between the largest step
-    and the strong degeneracy.
+    With ``mighty=True`` the mighty value is attached when the search can
+    afford it, searched between the largest step and the strong degeneracy.
 
     Raises:
         IsolatedVertexError: some vertex lies in no edge.
@@ -97,11 +96,7 @@ def greedy_cover(h: Hypergraph, mighty: bool = False) -> CoverCertificate:
         raise CertificateError("an edge was selected twice")
     cover = tuple(sorted(cover_ids))
     independent, per_step = steps.order, steps.step_values
-    mighty_value = None
-    if mighty and h.n <= MIGHTY_BF_CAP:
-        # The sandwich: the largest step <= the mighty value <= the bound.
-        floor = max(per_step, default=0)
-        mighty_value = _best_restriction(h, floor, bound)
+    mighty_value = _best_restriction(h, max(per_step, default=0), bound) if mighty else None
     total = sum(per_step)
     inequality = len(cover) <= total <= bound * len(independent)
     if mighty_value is not None:

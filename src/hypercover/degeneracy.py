@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 from ._trace_index import TraceIndex
 from .core import Hypergraph
-from .errors import CertificateError, TooLargeError
+from .errors import TooLargeError
 
 STRONG_BF_CAP = 12
 MIGHTY_BF_CAP = 14
@@ -81,11 +81,8 @@ def _peel(h: Hypergraph, strong: bool, strong_removal: bool = False) -> tuple[El
         values.append(d)
         gone: tuple[int] | set[int] = (x,)  # a tuple unpacks faster than a set
         if strong_removal:
-            pairs = index.maximal_traces_at(x)
-            if d < 1 or len(pairs) != d:
-                raise CertificateError(f"vertex {ids[x]} has strong degree {d} but {len(pairs)} maximal traces")
             gone = {x}
-            for rep, trace in pairs:
+            for rep, trace in index.maximal_traces_at(x):
                 taken.append(rep)
                 gone |= trace
         index.delete_vertex(*gone)
@@ -176,13 +173,15 @@ def _reaches(edge_masks: list[int], drops: list[int], full: int, k: int) -> bool
     return False
 
 
-def _best_restriction(h: Hypergraph, floor: int = 0, ceiling: int | None = None) -> int:
+def _best_restriction(h: Hypergraph, floor: int = 0, ceiling: int | None = None) -> int | None:
     """Maximum of the minimum strong degree over every nonempty restriction
-    reachable by strong removal.
+    reachable by strong removal, or ``None`` above ``MIGHTY_BF_CAP`` vertices.
 
     ``floor`` must be a value some reachable restriction attains and
     ``ceiling`` one none exceeds.  Each k from ``floor + 1`` on is tried in
     turn until none reaches it or the ceiling is met."""
+    if h.n > MIGHTY_BF_CAP:
+        return None
     if floor == ceiling:
         return floor
     masks = [sum(1 << v for v in e) for e in h.edges]
@@ -196,15 +195,15 @@ def _best_restriction(h: Hypergraph, floor: int = 0, ceiling: int | None = None)
     return best
 
 
-def strong_degeneracy_bf(h: Hypergraph, max_vertices: int = STRONG_BF_CAP) -> int:
+def strong_degeneracy_bf(h: Hypergraph) -> int:
     """Exhaustive maximum of the minimum strong degree over every nonempty
     induced restriction: the largest k whose strong k-core is nonempty.
 
     Raises:
-        TooLargeError: more vertices than ``max_vertices``.
+        TooLargeError: more vertices than ``STRONG_BF_CAP``.
     """
-    if h.n > max_vertices:
-        raise TooLargeError(f"{h.n} vertices exceed the cap of {max_vertices}")
+    if h.n > STRONG_BF_CAP:
+        raise TooLargeError(f"{h.n} vertices exceed the cap of {STRONG_BF_CAP}")
     masks = [sum(1 << v for v in e) for e in h.edges]
     core, k = (1 << h.n) - 1, 0
     # The (k + 1)-core lies inside the k-core, so each peel starts there.
@@ -213,13 +212,13 @@ def strong_degeneracy_bf(h: Hypergraph, max_vertices: int = STRONG_BF_CAP) -> in
     return k
 
 
-def mighty_degeneracy_bf(h: Hypergraph, max_vertices: int = MIGHTY_BF_CAP) -> int:
+def mighty_degeneracy_bf(h: Hypergraph) -> int:
     """Exhaustive maximum of the minimum strong degree over every nonempty
     restriction reachable by strong removal, the empty removal included.
 
     Raises:
-        TooLargeError: more vertices than ``max_vertices``.
+        TooLargeError: more vertices than ``MIGHTY_BF_CAP``.
     """
-    if h.n > max_vertices:
-        raise TooLargeError(f"{h.n} vertices exceed the cap of {max_vertices}")
-    return _best_restriction(h)
+    if (value := _best_restriction(h)) is None:
+        raise TooLargeError(f"{h.n} vertices exceed the cap of {MIGHTY_BF_CAP}")
+    return value

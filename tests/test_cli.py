@@ -152,6 +152,13 @@ class TestCommands:
         assert json.loads(run_cli("degeneracy", "--kind", "mighty-bf", "--json", stdin=GAP5).stdout)["value"] == 2
         assert json.loads(run_cli("degeneracy", "--kind", "strong-bf", "--json", stdin=GAP5).stdout)["value"] == 3
 
+    def test_mighty_bf_above_its_cap(self):
+        path = "p hg 15 14\n" + "".join(f"e {v} {v + 1}\n" for v in range(1, 15))
+        result = run_cli("degeneracy", "--kind", "mighty-bf", stdin=path)
+        assert result.returncode == 1
+        assert result.stderr == "error: TooLarge: 15 vertices exceed the cap of 14\n"
+        assert result.stdout == ""
+
     @pytest.mark.parametrize("kind", ["strong", "plain"])
     def test_degeneracy_puts_vertices_in_no_edge_first(self, kind):
         result = run_cli("degeneracy", "--kind", kind, stdin="p hg 5 1\ne 2 4\n")

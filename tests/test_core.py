@@ -7,6 +7,7 @@ definitions; frozen cases pin down concrete outputs.
 
 from __future__ import annotations
 
+import sys
 from itertools import combinations
 
 import pytest
@@ -414,11 +415,13 @@ class TestShatteringAndVC:
         assert not witness.shattered
         assert witness.missing_subset == ()
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         h = Hypergraph.from_edges(25, [(v,) for v in range(25)])
-        with pytest.raises(TooLargeError):
+        with pytest.raises(TooLargeError, match="^25 vertices exceed the cap of 20$"):
             vc_dimension(h)
-        assert vc_dimension(h, max_vertices=25)[0] == 1
+        # The cap is read when called.
+        monkeypatch.setattr(sys.modules["hypercover.core"], "VC_DEFAULT_CAP", 25)
+        assert vc_dimension(h)[0] == 1
 
     @given(hypergraphs())
     def test_witness_is_shattered_and_bound_holds(self, h):

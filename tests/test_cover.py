@@ -79,6 +79,14 @@ class TestGreedyCover:
     def test_mighty_skipped_by_default(self):
         assert greedy_cover(gap_family(5)).mighty_factor is None
 
+    def test_mighty_skipped_above_the_cap_even_when_the_bounds_meet(self):
+        # The largest step and the bound are both 1, so a cap checked after
+        # the search's floor == ceiling shortcut would attach 1.
+        path = Hypergraph.from_edges(15, [(v, v + 1) for v in range(14)])
+        cert = greedy_cover(path, mighty=True)
+        assert max(cert.per_step_edges) == cert.bound_factor == 1
+        assert cert.mighty_factor is None
+
     @given(st.one_of(covering_instances(), gap_family_slices()))
     def test_certificate_invariants(self, h):
         cert = greedy_cover(h, mighty=True)

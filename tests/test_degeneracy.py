@@ -215,13 +215,20 @@ class TestPeelingMatchesDefinitions:
     def test_strong_core_matches_its_definition(self, h, k):
         check_strong_core(h, k)
 
-    def test_size_caps(self):
+    def test_size_caps(self, monkeypatch):
         big = Hypergraph.from_edges(15, [(v, v + 1) for v in range(14)])
-        with pytest.raises(TooLargeError):
+        with pytest.raises(TooLargeError, match="^15 vertices exceed the cap of 12$"):
             strong_degeneracy_bf(big)
-        with pytest.raises(TooLargeError):
+        with pytest.raises(TooLargeError, match="^15 vertices exceed the cap of 14$"):
             mighty_degeneracy_bf(Hypergraph(15, ()))
-        assert strong_degeneracy_bf(big, max_vertices=15) == strong_degeneracy(big).value
+        # Each search reads its cap when called.  The package binds the name
+        # ``hypercover.degeneracy`` to the function, so the module comes from
+        # sys.modules.
+        module = sys.modules["hypercover.degeneracy"]
+        monkeypatch.setattr(module, "STRONG_BF_CAP", 15)
+        monkeypatch.setattr(module, "MIGHTY_BF_CAP", 15)
+        assert strong_degeneracy_bf(big) == strong_degeneracy(big).value == 1
+        assert mighty_degeneracy_bf(big) == greedy_cover(big, mighty=True).mighty_factor == 1
 
 
 PATH6 = Hypergraph.from_edges(6, [(v, v + 1) for v in range(5)])

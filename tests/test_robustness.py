@@ -134,6 +134,45 @@ def test_graph_checks_on_a_tiny_file_with_a_huge_vertex_count_stay_small(tmp_pat
     assert peak < 64 * 2**20
 
 
+# Counts of 10^18 and 10^20 only: one of 10^9 to 10^12 can really allocate
+# gigabytes before it fails.  The strong and plain peels are left out: on a
+# count that passes the header they build one entry per vertex in no edge.
+PAST_THE_INDEX_RANGE = {
+    "hg": "p hg 100000000000000000000 1\ne 1",
+    "gr": "p edge 100000000000000000000 0",
+}
+
+
+@pytest.mark.parametrize(
+    "suffix, argv",
+    [
+        ("hg", ["verify", "--kind", "edge-cover"]),
+        ("hg", ["vc"]),
+        ("hg", ["degeneracy", "--kind", "mighty-bf"]),
+        ("hg", ["cover"]),
+        ("hg", ["dual"]),
+        ("gr", ["verify", "--kind", "dominating", "--ids", "1"]),
+        ("gr", ["audit", "--trials", "1"]),
+        ("gr", ["dominate"]),
+        ("gr", ["exact", "--problem", "min-dominating"]),
+    ],
+)
+def test_a_header_count_past_the_index_range_is_a_syntax_error(tmp_path, capsys, suffix, argv):
+    path = tmp_path / f"huge.{suffix}"
+    path.write_text(PAST_THE_INDEX_RANGE[suffix])
+    assert main([*argv, "--input", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: SyntaxError: line 1: header counts must not exceed {sys.maxsize}\n"
+
+
+@pytest.mark.parametrize("argv", [["verify", "--kind", "dominating", "--ids", "1"], ["audit", "--trials", "1"]])
+def test_a_graph_too_large_to_allocate_is_out_of_memory(tmp_path, capsys, argv):
+    # One adjacency row per vertex of 10^18 is a request that fails at once.
+    path = tmp_path / "huge.gr"
+    path.write_text("p edge 1000000000000000000 0")
+    assert main([*argv, "--input", str(path)]) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 def test_degeneracy_output_of_a_tiny_file_with_a_huge_vertex_count_stays_small(tmp_path, capsys):
     # The order names every vertex, so the output is O(n) by nature; writing
     # it a chunk at a time keeps the peak near the solve's own (12.2 MB).
