@@ -11,9 +11,13 @@ Each trace has a stable integer id (at build time, the id of the edge that
 generates it) holding a mutable member set and a 64-bit XOR of per-vertex
 random keys (Zobrist hashing).  Deleting a set ``R`` shrinks each trace
 meeting ``R`` in place, once: discarding a member and XOR-ing its key out
-are O(1) and the id stays, so no other vertex's row changes.  A hash -> id
-table, confirmed by an exact member-set compare, finds the traces that
-became equal, and all but one of each equal group is dropped.
+are O(1) and the id stays, so no other vertex's row changes.  Equal traces
+share a hash, so a table keyed by hash, each hit confirmed by an exact
+member-set compare, finds the traces that became equal, and all but one of
+each equal group is dropped.  Only a plain index keeps such a table for all
+its traces, as hash chains, since a shrunk trace may equal one that missed
+``R``.  A strong index finds its merges in a table that lives for one
+deletion and holds only the traces shrunk by it (the third fact below).
 
 A strong index rests on three facts about deleting a set ``R``:
 
@@ -28,8 +32,13 @@ A strong index rests on three facts about deleting a set ``R``:
   re-checked, each by one scan of the shortest row among its members.
 
 A deletion thus costs the sum over ``x`` in ``R`` of the kept traces
-through ``x``, plus |t| per dropped trace, plus one dominance scan per
-shrunk survivor of a strong index.  Dropped traces cost nothing again.
+through ``x``, plus one table lookup per shrunk trace, plus |t| per dropped
+trace, plus, in a strong index, one dominance scan per shrunk survivor.  A
+plain index also unlinks and relinks each shrunk trace in its chains.
+Dropped traces cost nothing again.  A strong build scans one row per edge
+to drop the edges inside others, unless it is handed the ids of the
+maximal edges, which ``trace_ids()`` of another strong index of the same
+hypergraph lists before its first deletion.
 
 No representative is stored.  The one of a kept trace, the smallest base
 edge generating it, is found on demand by ``maximal_traces_at`` and
@@ -75,35 +84,44 @@ class TraceIndex:
     distinct trace is kept and the degree is the plain one.
     """
 
-    def __init__(self, h: Hypergraph, strong: bool = True):
+    def __init__(self, h: Hypergraph, strong: bool = True, maximal: list[int] | None = None):
+        """Index the traces of ``h``.  ``maximal`` may hand a strong build
+        the ids of the maximal edges of ``h``, as ``trace_ids()`` of another
+        strong index of ``h`` lists them before its first deletion: the build
+        then keeps those edges and drops the rest without a dominance pass."""
         self.strong = strong
         self.alive = [True] * h.n
         self._h = h
         keys = self._keys = _zobrist_keys(h.n)
         # Per trace id; a dropped id has members None.  Base edges are
         # distinct, so edge i starts as trace i.
-        self._members: list[set[int] | None] = [set(e) for e in h.edges]
-        self._hash: list[int] = []
-        # Hash chains: _by_hash[code] heads the ids with that hash, _next
-        # links them (-1 ends a chain).
-        self._by_hash: dict[int, int] = {}
-        self._next: list[int] = []
-        self._vertex_traces: list[set[int]] = [set() for _ in range(h.n)]
-        vertex_traces = self._vertex_traces
-        by_hash = self._by_hash
-        for t, edge in enumerate(h.edges):
+        edges = h.edges
+        kept = range(h.m) if maximal is None else maximal
+        members: list[set[int] | None] = [None] * h.m
+        for t in kept:
+            members[t] = set(edges[t])
+        self._members = members
+        hashes = self._hash = [0] * h.m
+        vertex_traces = self._vertex_traces = [set() for _ in range(h.n)]
+        for t in kept:
             code = 0
-            for v in edge:
+            for v in edges[t]:
                 vertex_traces[v].add(t)
                 code ^= keys[v]
-            self._hash.append(code)
-            self._next.append(by_hash.get(code, -1))
-            by_hash[code] = t
-        if strong:
+            hashes[t] = code
+        if not strong:
+            # Hash chains: _by_hash[code] heads the ids with that hash, _next
+            # links them (-1 ends a chain).
+            by_hash: dict[int, int] = {}
+            nxt = self._next = [-1] * h.m
+            for t, code in enumerate(hashes):
+                nxt[t] = by_hash.get(code, -1)
+                by_hash[code] = t
+            self._by_hash = by_hash
+        elif maximal is None:
             # Any order works: what lies above a dropped edge lies in a kept one.
             for t in range(h.m):
                 if self._dominated(t):
-                    self._unlink(t)
                     self._drop(t)
         self._heap: list[tuple[int, int]] = [(len(row), v) for v, row in enumerate(vertex_traces)]
         self._heap.sort()
@@ -137,7 +155,7 @@ class TraceIndex:
         return False
 
     def _unlink(self, t: int) -> None:
-        """Remove ``t`` from the chain of its current hash."""
+        """Remove ``t`` from the chain of its current hash (plain index)."""
         code = self._hash[t]
         nxt = self._next
         head = self._by_hash[code]
@@ -175,6 +193,12 @@ class TraceIndex:
             if len(live) == len(s) and s.issuperset(live):
                 return e
         raise CertificateError(f"no edge generates the trace {sorted(s)}")
+
+    def trace_ids(self) -> list[int]:
+        """The ids of the kept traces, ascending.  Before the first deletion
+        these are the ids of the edges the build kept: for a strong index,
+        the maximal edges of ``h``."""
+        return [t for t, s in enumerate(self._members) if s is not None]
 
     def traces(self) -> dict[frozenset[int], int]:
         """Snapshot of the kept traces, each with its representative: with
@@ -230,6 +254,75 @@ class TraceIndex:
         if len(gone) > 1 and len(set(gone)) < len(gone):
             x = next(x for i, x in enumerate(gone) if x in gone[:i])
             raise ValueError(f"vertex {x} repeated")
+        changed = self._delete_strong(gone) if self.strong else self._delete_plain(gone)
+        heap = self._heap
+        vertex_traces = self._vertex_traces
+        for v in changed:
+            heappush(heap, (len(vertex_traces[v]), v))
+
+    def _delete_strong(self, gone: tuple[int, ...]) -> set[int]:
+        """Delete ``gone`` from a strong index; returns the members of the
+        traces dropped, the vertices whose degree fell."""
+        alive = self.alive
+        keys = self._keys
+        members = self._members
+        hashes = self._hash
+        vertex_traces = self._vertex_traces
+        touched: set[int] = set()
+        for x in gone:
+            alive[x] = False
+            key = keys[x]
+            row = vertex_traces[x]
+            for t in row:
+                members[t].discard(x)
+                hashes[t] ^= key
+            touched |= row
+            vertex_traces[x] = set()
+
+        # Equal pairs arise only among the traces shrunk here, so a table
+        # local to this call finds them: the first trace of each hash and,
+        # once distinct traces share one, the list of all that do.  Equal
+        # traces share a hash, and a set compare confirms every hit.
+        changed: set[int] = set()
+        first: dict[int, int] = {}
+        shared: dict[int, list[int]] = {}
+        for t in touched:
+            s = members[t]
+            if not s:
+                # Emptied: its members' rows are gone, so no scan meets it.
+                members[t] = None
+                continue
+            code = hashes[t]
+            u = first.setdefault(code, t)
+            if u != t:
+                same = shared.setdefault(code, [u])
+                if s in [members[w] for w in same]:
+                    changed |= self._drop(t)  # the equal trace stays
+                    continue
+                same.append(t)
+            # The re-check of _dominated, inline: scan the shortest row
+            # among the members, unless one lies in t alone.
+            fewest = 0
+            for v in s:
+                row = vertex_traces[v]
+                ln = len(row)
+                if ln == 1:
+                    break
+                if not fewest or ln < fewest:
+                    fewest = ln
+                    pivot = row
+            else:
+                for u in pivot:
+                    if s < members[u]:
+                        changed |= self._drop(t)
+                        break
+        return changed
+
+    def _delete_plain(self, gone: tuple[int, ...]) -> set[int]:
+        """Delete ``gone`` from a plain index; returns the members of the
+        traces dropped, the vertices whose degree fell."""
+        alive = self.alive
+        keys = self._keys
         members = self._members
         hashes = self._hash
         by_hash = self._by_hash
@@ -240,7 +333,7 @@ class TraceIndex:
         touched: set[int] = set()
         for x in gone:
             alive[x] = False
-            key = self._keys[x]
+            key = keys[x]
             for t in vertex_traces[x]:
                 if t not in touched:
                     touched.add(t)
@@ -250,11 +343,10 @@ class TraceIndex:
             vertex_traces[x] = set()
 
         changed: set[int] = set()
-        survivors: list[int] = []
         for t in touched:
             s = members[t]
             if not s:
-                # Emptied: unlinked above, so no chain or scan meets it.
+                # Emptied: unlinked above, so no chain meets it.
                 members[t] = None
                 continue
             code = hashes[t]
@@ -264,16 +356,6 @@ class TraceIndex:
             if u < 0:
                 nxt[t] = by_hash.get(code, -1)
                 by_hash[code] = t
-                survivors.append(t)
             else:
                 changed |= self._drop(t)  # u has the same members and stays
-
-        if self.strong:
-            for t in survivors:
-                if self._dominated(t):
-                    self._unlink(t)
-                    changed |= self._drop(t)
-
-        heap = self._heap
-        for v in changed:
-            heappush(heap, (len(vertex_traces[v]), v))
+        return changed

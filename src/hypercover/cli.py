@@ -241,7 +241,7 @@ def _decimal(token: str) -> int:
     ids and the file counts are."""
     try:
         return _decimals([token])[0]
-    except ValueError:
+    except (ValueError, OverflowError):
         raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
 
 

@@ -426,11 +426,22 @@ def _decimals(tokens: list[str]) -> list[int]:
     Raises:
         ValueError: some token holds anything else.  ``int`` alone would
             also take a sign, ``_`` separators and non-ASCII digits.
+        OverflowError: some token has more significant digits than ``int``
+            converts (CPython's limit, 4,300 by default), so it exceeds
+            every count and id; its argument is that digit count.
     """
     joined = "".join(tokens)
     if not (joined.isascii() and joined.isdigit()):
         raise ValueError(f"not a decimal number: {tokens!r}")
-    return list(map(int, tokens))
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        # Only the limit fails here, and leading zeros count toward it.
+        significant = [token.lstrip("0") or "0" for token in tokens]
+        try:
+            return list(map(int, significant))
+        except ValueError:
+            raise OverflowError(max(map(len, significant))) from None
 
 
 def _read_header(lines: Iterator[tuple[int, list[str]]], tag: str) -> tuple[int, int]:
@@ -446,6 +457,8 @@ def _read_header(lines: Iterator[tuple[int, list[str]]], tag: str) -> tuple[int,
         n, m = _decimals(tokens[2:])
     except ValueError:
         raise FormatError(f"line {lineno}: header counts must be written with the digits 0-9") from None
+    except OverflowError:
+        n = m = sys.maxsize + 1  # too many digits to convert, so past the bound
     if max(n, m) > sys.maxsize:
         raise FormatError(f"line {lineno}: header counts must not exceed {sys.maxsize}")
     return n, m
@@ -478,6 +491,8 @@ def parse_hypergraph(text: str, strict: bool = True) -> Hypergraph:
             ids = _decimals(tokens[1:])
         except ValueError:
             raise FormatError(f"line {lineno}: vertex ids must be written with the digits 0-9") from None
+        except OverflowError as exc:
+            raise VertexOutOfRangeError(f"line {lineno}: a vertex id of {exc} digits lies outside 1..{n}") from None
         for v in ids:
             if not 1 <= v <= n:
                 raise VertexOutOfRangeError(f"line {lineno}: vertex {v} outside 1..{n}")

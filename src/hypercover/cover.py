@@ -18,7 +18,9 @@ and the factor is the strong degeneracy, tightened to the mighty value when
 that is affordable.  The strong degeneracy comes first, from a batched
 strong-core peel on its own index, so it checks the greedy's steps rather
 than being read off them; that index is gone before the greedy builds its
-own.  The mighty search starts at the largest step and stops at the strong
+own.  Only the ids of the maximal edges, which its build kept, outlive it:
+the greedy's build keeps those edges and skips its own dominance pass.
+The mighty search starts at the largest step and stops at the strong
 degeneracy, and when the two meet it searches nothing.  Since an edge cover
 is never smaller than an independent set, a run certifies both quantities.
 
@@ -90,8 +92,8 @@ def greedy_cover(h: Hypergraph, mighty: bool = False) -> CoverCertificate:
         CertificateError: the run failed its own checks.
     """
     _reject_isolated(h)
-    bound = _strong_degeneracy(h)
-    steps, cover_ids = _peel(h, strong=True, strong_removal=True)
+    bound, maximal = _strong_degeneracy(h)
+    steps, cover_ids = _peel(h, strong=True, strong_removal=True, maximal=maximal)
     if len(set(cover_ids)) != len(cover_ids):
         raise CertificateError("an edge was selected twice")
     cover = tuple(sorted(cover_ids))

@@ -25,7 +25,9 @@ masks, each from the one below it.  ``_strong_degeneracy`` finds the value
 on the engine's index, in batches: it raises k to the minimum degree of
 what is left, deletes every vertex of degree at most k in one call, and
 stops at the batch that takes all that is left.  The greedy cover uses it
-for its bound, which it checks its own steps against.
+for its bound, which it checks its own steps against, and hands the ids of
+the maximal edges, read off that index before its first deletion, to its
+own index's build.
 
 The greedy cover knows bounds on the mighty value before it needs it (see
 :mod:`hypercover.cover`): its largest step below, the strong degeneracy
@@ -59,12 +61,16 @@ class EliminationOrder:
         return max(self.step_values, default=0)
 
 
-def _peel(h: Hypergraph, strong: bool, strong_removal: bool = False) -> tuple[EliminationOrder, list[int]]:
+def _peel(
+    h: Hypergraph, strong: bool, strong_removal: bool = False, maximal: list[int] | None = None
+) -> tuple[EliminationOrder, list[int]]:
     """Pop a vertex of minimum strong (or plain) degree and delete it, or with
     ``strong_removal`` strongly remove it, until no vertex is left.  Returns
     the popped vertices with their degrees and the representatives of the
     maximal traces removed.  Vertices in no edge have degree 0 throughout,
-    any other at least 1, so they come first and never enter the index."""
+    any other at least 1, so they come first and never enter the index.
+    ``maximal``, the ids of the maximal edges of ``h``, spares a strong
+    index its dominance pass (see :class:`TraceIndex`)."""
     seen = h._covered
     order = [v for v in range(h.n) if v not in seen] if len(seen) < h.n else []
     values = [0] * len(order)
@@ -73,7 +79,7 @@ def _peel(h: Hypergraph, strong: bool, strong_removal: bool = False) -> tuple[El
         # Renumbering in id order keeps every tie; edge ids stay put.
         local = {v: i for i, v in enumerate(ids)}
         h = Hypergraph(len(ids), tuple(tuple(local[v] for v in e) for e in h.edges))
-    index = TraceIndex(h, strong=strong)
+    index = TraceIndex(h, strong=strong, maximal=maximal)
     taken: list[int] = []
     while (entry := index.pop_min()) is not None:
         d, x = entry
@@ -100,12 +106,14 @@ def degeneracy(h: Hypergraph) -> EliminationOrder:
     return _peel(h, strong=False)[0]
 
 
-def _strong_degeneracy(h: Hypergraph) -> int:
-    """The strong degeneracy, the largest k whose strong k-core is nonempty.
+def _strong_degeneracy(h: Hypergraph) -> tuple[int, list[int]]:
+    """The strong degeneracy, the largest k whose strong k-core is nonempty,
+    and the ids of the maximal edges of ``h``, which the index's build kept.
     Each round pops a vertex of minimum degree, raises k to it, and deletes
     every vertex of degree at most k in one call; the round whose batch is
     all that is left ends it."""
     index = TraceIndex(h, strong=True)
+    maximal = index.trace_ids()
     k = 0
     live = h.n
     while (entry := index.pop_min()) is not None:
@@ -117,7 +125,7 @@ def _strong_degeneracy(h: Hypergraph) -> int:
             break
         index.delete_vertex(*gone)
         live -= len(gone)
-    return k
+    return k, maximal
 
 
 def _strong_core(edge_masks: list[int], subset_mask: int, k: int) -> int:

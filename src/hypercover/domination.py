@@ -140,6 +140,8 @@ def _read_graph(text: str) -> tuple[int, list[tuple[int, int]]]:
             u, v = _decimals(tokens[1:])
         except ValueError:
             raise FormatError(f"line {lineno}: endpoints must be written with the digits 0-9") from None
+        except OverflowError as exc:
+            raise VertexOutOfRangeError(f"line {lineno}: a vertex id of {exc} digits lies outside 1..{n}") from None
         for w in (u, v):
             if not 1 <= w <= n:
                 raise VertexOutOfRangeError(f"line {lineno}: vertex {w} outside 1..{n}")

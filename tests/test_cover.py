@@ -15,6 +15,7 @@ from hypercover import (
     gap_family,
     greedy_cover,
     greedy_transversal,
+    maximal_edges,
     neighborhood_hypergraph,
     path_graph,
     strong_degeneracy,
@@ -118,23 +119,25 @@ class TestGreedyCover:
         and a bound of 1 cannot hold 3 edges for 2 vertices."""
         cycle = Hypergraph.from_edges(5, [(v, (v + 1) % 5) for v in range(5)])
         assert greedy_cover(cycle).bound_factor == 2
-        monkeypatch.setattr("hypercover.cover._strong_degeneracy", lambda h: 1)
+        maximal = list(range(cycle.m))  # every pair is maximal
+        monkeypatch.setattr("hypercover.cover._strong_degeneracy", lambda h: (1, maximal))
         with pytest.raises(CertificateError):
             greedy_cover(cycle)
 
     def test_one_index_at_a_time(self, monkeypatch):
-        """The bound's index is gone before the greedy's is built."""
+        """The bound's index is gone before the greedy's is built; only the
+        ids of the maximal edges, which the bound's build kept, reach it."""
         built = []
         build = TraceIndex.__init__
 
-        def spy(index, h, strong=True):
-            assert all(ref() is None for ref, _ in built)
-            build(index, h, strong)
-            built.append((weakref.ref(index), strong))
+        def spy(index, h, strong=True, maximal=None):
+            assert all(ref() is None for ref, *_ in built)
+            build(index, h, strong, maximal)
+            built.append((weakref.ref(index), strong, maximal))
 
         monkeypatch.setattr(TraceIndex, "__init__", spy)
         greedy_cover(GAP12)
-        assert [strong for _, strong in built] == [True, True]
+        assert [(strong, maximal) for _, strong, maximal in built] == [(True, None), (True, list(maximal_edges(GAP12)))]
 
     @pytest.mark.parametrize(
         "h, largest_step, mighty, bound",

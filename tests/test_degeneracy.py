@@ -8,6 +8,7 @@ brute force.
 
 from __future__ import annotations
 
+import random
 import sys
 from unittest import mock
 
@@ -21,6 +22,7 @@ from hypercover import (
     degree,
     gap_family,
     greedy_cover,
+    greedy_transversal,
     maximal_edges,
     mighty_degeneracy_bf,
     neighborhood_hypergraph,
@@ -91,9 +93,9 @@ class TestFrozenValues:
         sizes = []
 
         class Recording(TraceIndex):
-            def __init__(self, h, strong=True):
+            def __init__(self, h, strong=True, maximal=None):
                 sizes.append(h.n)
-                super().__init__(h, strong)
+                super().__init__(h, strong, maximal)
 
         h = Hypergraph.from_edges(100000, [(1, 3), (3, 7)])
         with mock.patch.object(sys.modules["hypercover.degeneracy"], "TraceIndex", Recording):
@@ -240,7 +242,9 @@ BATCH_EXAMPLES = (gap_family(12), PATH6, TRIANGLE_WITH_LEAVES)
 
 
 def check_batched_strong_degeneracy(h):
-    assert _strong_degeneracy(h) == strong_degeneracy(h).value
+    value, maximal = _strong_degeneracy(h)
+    assert value == strong_degeneracy(h).value
+    assert tuple(maximal) == maximal_edges(h)
 
 
 class TestBatchedStrongDegeneracy:
@@ -358,10 +362,10 @@ class TestTraceIndex:
         h = Hypergraph.from_edges(4, [(0, 1), (0, 2), (1, 2, 3)])
         index = TraceIndex(h, strong=True)
         index.delete_vertex(3)
-        before = (index.traces(), list(index.deg), list(index.alive), dict(index._by_hash), sorted(index._heap))
+        before = (index.traces(), list(index.deg), list(index.alive), list(index._hash), sorted(index._heap))
         with pytest.raises(ValueError, match="already deleted|out of range|repeated"):
             index.delete_vertex(*gone)
-        after = (index.traces(), list(index.deg), list(index.alive), dict(index._by_hash), sorted(index._heap))
+        after = (index.traces(), list(index.deg), list(index.alive), list(index._hash), sorted(index._heap))
         assert after == before
         # The index still follows its restrictions: {0, 1} and {1, 2}
         # shrink to {0} and {2}, both inside {0, 2}.
@@ -369,6 +373,34 @@ class TestTraceIndex:
         assert index.traces() == self.snapshot(h, {0, 2}, strong=True)
         sub = restrict(h, {0, 2})
         assert [index.deg[0], index.deg[2]] == [strong_degree(sub, 0), strong_degree(sub, 2)]
+
+    @staticmethod
+    def check_handed_over_build(h):
+        """A strong build from the ids of the maximal edges, read off a fresh
+        strong build, keeps the same traces and degrees, and both follow the
+        same deletions alike: half the vertices one at a time, in a seeded
+        order, then all but one of the rest at once."""
+        fresh = TraceIndex(h, strong=True)
+        handed = TraceIndex(h, strong=True, maximal=fresh.trace_ids())
+        assert handed.trace_ids() == fresh.trace_ids() == list(maximal_edges(h))
+        order = random.Random(h.n).sample(range(h.n), h.n)[:-1]
+        half = len(order) // 2
+        for part in (set(), *({x} for x in order[:half]), set(order[half:])):
+            fresh.delete_vertex(*part)
+            handed.delete_vertex(*part)
+            assert handed.traces() == fresh.traces()
+            assert handed.deg == fresh.deg
+
+    @given(sparse_instances())
+    @gap_family_examples
+    def test_a_build_from_handed_over_ids_matches_a_fresh_build(self, h):
+        self.check_handed_over_build(h)
+
+    @given(sparse_instances())
+    @gap_family_examples
+    def test_a_build_from_handed_over_ids_matches_a_fresh_build_when_every_hash_collides(self, h):
+        with colliding_keys():
+            self.check_handed_over_build(h)
 
     @given(hypergraphs(), st.data())
     def test_degrees_track_restrictions(self, h, data):
@@ -430,7 +462,7 @@ class TestHashCollisions:
     @staticmethod
     def results(h, cover):
         out = (strong_degeneracy(h), degeneracy(h))
-        return out + (greedy_cover(h),) if cover else out
+        return out + (greedy_cover(h), greedy_transversal(h)) if cover else out
 
     @given(hypergraphs())
     def test_peeling(self, h):

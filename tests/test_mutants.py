@@ -17,6 +17,7 @@ import random
 import sys
 import textwrap
 
+from hypercover import gap_family
 from hypercover._trace_index import TraceIndex
 from hypercover.degeneracy import _best_restriction, _strong_core, _strong_degeneracy
 from hypercover.oracles import _search
@@ -108,12 +109,30 @@ def test_core_that_peels_a_single_round(monkeypatch):
 
 
 def test_deletion_that_skips_merging_two_shrunken_traces(monkeypatch):
+    # A strong index finds merges in a table local to each deletion, a plain
+    # one in its hash chains; each is mutated in turn.
     check = test_degeneracy.TestTraceIndex().check_records
     cases = list(deletion_sets())
     assert not caught(check, cases)
-    wrong = mutant(TraceIndex.delete_vertex, "while u >= 0 and members[u] != s:",
-                   "while u >= 0 and (members[u] != s or u in touched):")
-    monkeypatch.setattr(TraceIndex, "delete_vertex", wrong)
+    for method, old, new in (
+        ("_delete_strong", "if s in [members[w] for w in same]:", "if False:"),
+        ("_delete_plain", "while u >= 0 and members[u] != s:", "while u >= 0 and (members[u] != s or u in touched):"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(TraceIndex, method, mutant(getattr(TraceIndex, method), old, new))
+            assert caught(check, cases), method
+
+
+def test_strong_deletion_that_merges_on_a_hash_hit_without_comparing_sets(monkeypatch):
+    # Distinct traces rarely share a hash, so only all-zero keys show it.
+    def check(h, parts):
+        with test_degeneracy.colliding_keys():
+            test_degeneracy.TestTraceIndex().check_records(h, parts)
+
+    cases = list(deletion_sets())
+    assert not caught(check, cases)
+    wrong = mutant(TraceIndex._delete_strong, "if s in [members[w] for w in same]:", "if same:")
+    monkeypatch.setattr(TraceIndex, "_delete_strong", wrong)
     assert caught(check, cases)
 
 
@@ -121,7 +140,16 @@ def test_strong_deletion_that_keeps_a_shrunk_trace_inside_another(monkeypatch):
     check = test_degeneracy.TestTraceIndex().check_records
     cases = list(deletion_sets())
     assert not caught(check, cases)
-    monkeypatch.setattr(TraceIndex, "delete_vertex", mutant(TraceIndex.delete_vertex, "if self._dominated(t):", "if False:"))
+    monkeypatch.setattr(TraceIndex, "_delete_strong", mutant(TraceIndex._delete_strong, "if s < members[u]:", "if False:"))
+    assert caught(check, cases)
+
+
+def test_build_that_keeps_every_edge_despite_the_handed_over_ids(monkeypatch):
+    check = test_degeneracy.TestTraceIndex.check_handed_over_build
+    cases = [(h,) for h in (*(gap_family(n) for n in range(3, 9)), *sparse_corpus())]
+    assert not caught(check, cases)
+    wrong = mutant(TraceIndex.__init__, "kept = range(h.m) if maximal is None else maximal", "kept = range(h.m)")
+    monkeypatch.setattr(TraceIndex, "__init__", wrong)
     assert caught(check, cases)
 
 

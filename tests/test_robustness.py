@@ -164,6 +164,66 @@ def test_a_header_count_past_the_index_range_is_a_syntax_error(tmp_path, capsys,
     assert capsys.readouterr().err == f"error: SyntaxError: line 1: header counts must not exceed {sys.maxsize}\n"
 
 
+# More digits than CPython's int() converts by default (4,300).
+LONG = "1" * 5000
+
+
+@pytest.fixture
+def int_digit_limit():
+    """CPython's default limit on the digits ``int`` converts, held for the test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python converts integers of any length")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        (f"p hg {LONG} 0", ["vc"]),
+        (f"p hg 3 {LONG}\ne 1", ["degeneracy", "--kind", "strong"]),
+        (f"p hg {LONG} 1\ne 1", ["cover"]),
+        (f"p edge {LONG} 0", ["dominate"]),
+        (f"p edge 3 {LONG}", ["exact", "--problem", "min-dominating"]),
+    ],
+    ids=["vc-n", "degeneracy-m", "cover-n", "dominate-n", "exact-m"],
+)
+def test_a_header_count_too_long_to_convert_is_past_the_index_range(tmp_path, capsys, int_digit_limit, text, argv):
+    path = tmp_path / "long.txt"
+    path.write_text(text)
+    assert main([*argv, "--input", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: SyntaxError: line 1: header counts must not exceed {sys.maxsize}\n"
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        (f"p hg 3 1\ne 1 {LONG}", ["cover"]),
+        (f"p hg 3 1\ne {LONG}", ["verify", "--kind", "edge-cover", "--ids", "1"]),
+        (f"p edge 3 1\ne {LONG} 2", ["dominate"]),
+    ],
+    ids=["cover", "verify", "dominate"],
+)
+def test_a_vertex_id_too_long_to_convert_is_out_of_range(tmp_path, capsys, int_digit_limit, text, argv):
+    path = tmp_path / "long.txt"
+    path.write_text(text)
+    assert main([*argv, "--input", str(path)]) == 1
+    assert capsys.readouterr().err == "error: VertexOutOfRange: line 2: a vertex id of 5000 digits lies outside 1..3\n"
+
+
+def test_leading_zeros_do_not_count_toward_the_digit_limit(int_digit_limit):
+    zeros = "0" * 5000
+    assert parse_hypergraph(f"p hg {zeros}3 1\ne {zeros}1 2 3").edges == ((0, 1, 2),)
+    assert parse_graph(f"p edge 3 1\ne 1 {zeros}2").edges == ((0, 1),)
+
+
+def test_an_option_too_long_to_convert_is_a_usage_error(capsys, int_digit_limit):
+    assert main(["gen", "gap", "--n", LONG]) == 2
+    assert f"argument --n: invalid int value: '{LONG}'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["verify", "--kind", "dominating", "--ids", "1"], ["audit", "--trials", "1"]])
 def test_a_graph_too_large_to_allocate_is_out_of_memory(tmp_path, capsys, argv):
     # One adjacency row per vertex of 10^18 is a request that fails at once.
