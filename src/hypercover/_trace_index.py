@@ -11,13 +11,20 @@ Each trace has a stable integer id (at build time, the id of the edge that
 generates it) holding a mutable member set and a 64-bit XOR of per-vertex
 random keys (Zobrist hashing).  Deleting a set ``R`` shrinks each trace
 meeting ``R`` in place, once: discarding a member and XOR-ing its key out
-are O(1) and the id stays, so no other vertex's row changes.  Equal traces
-share a hash, so a table keyed by hash, each hit confirmed by an exact
-member-set compare, finds the traces that became equal, and all but one of
-each equal group is dropped.  Only a plain index keeps such a table for all
-its traces, as hash chains, since a shrunk trace may equal one that missed
-``R``.  A strong index finds its merges in a table that lives for one
-deletion and holds only the traces shrunk by it (the third fact below).
+are O(1) and the id stays, so no other vertex's row changes.  One pass,
+``_settle``, then files each shrunk trace under its hash in a table that
+holds the first id per hash and, once a second id shares that hash, the
+list of all that do.  Equal traces share a hash, so a hit confirmed by an
+exact member-set compare finds a trace that became equal to a filed one,
+and the shrunk trace is dropped.  The build runs the same pass over every
+edge.
+
+The two kinds of index differ only in the table they pass.  A plain index
+keeps one table for good, since a shrunk trace may equal one that missed
+``R``.  It only ever appends: a shrunk trace is filed again under its new
+hash and its old entry goes stale, so the table holds at most ``m`` ids
+plus one per shrink, and the set compare turns every stale hit away.  A
+strong index passes a fresh table to each call (the third fact below).
 
 A strong index rests on three facts about deleting a set ``R``:
 
@@ -33,8 +40,7 @@ A strong index rests on three facts about deleting a set ``R``:
 
 A deletion thus costs the sum over ``x`` in ``R`` of the kept traces
 through ``x``, plus one table lookup per shrunk trace, plus |t| per dropped
-trace, plus, in a strong index, one dominance scan per shrunk survivor.  A
-plain index also unlinks and relinks each shrunk trace in its chains.
+trace, plus, in a strong index, one dominance scan per shrunk survivor.
 Dropped traces cost nothing again.  A strong build scans one row per edge
 to drop the edges inside others, unless it is handed the ids of the
 maximal edges, which ``trace_ids()`` of another strong index of the same
@@ -54,6 +60,7 @@ rise under deletion, so each live vertex has exactly one current heap entry.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from heapq import heappop, heappush
 
 from .core import Hypergraph
@@ -110,19 +117,13 @@ class TraceIndex:
                 code ^= keys[v]
             hashes[t] = code
         if not strong:
-            # Hash chains: _by_hash[code] heads the ids with that hash, _next
-            # links them (-1 ends a chain).
-            by_hash: dict[int, int] = {}
-            nxt = self._next = [-1] * h.m
-            for t, code in enumerate(hashes):
-                nxt[t] = by_hash.get(code, -1)
-                by_hash[code] = t
-            self._by_hash = by_hash
+            # A shrunk trace may equal one that missed the deletion, so a
+            # plain index keeps every trace filed, for good.
+            self._filed: tuple[dict[int, int], dict[int, list[int]]] = ({}, {})
+            self._settle(kept, self._filed)
         elif maximal is None:
             # Any order works: what lies above a dropped edge lies in a kept one.
-            for t in range(h.m):
-                if self._dominated(t):
-                    self._drop(t)
+            self._settle(kept, ({}, {}))
         self._heap: list[tuple[int, int]] = [(len(row), v) for v, row in enumerate(vertex_traces)]
         self._heap.sort()
 
@@ -130,44 +131,6 @@ class TraceIndex:
     def deg(self) -> list[int]:
         """The degree of each vertex: the size of its row, 0 once deleted."""
         return [len(row) for row in self._vertex_traces]
-
-    def _dominated(self, t: int) -> bool:
-        # Scan the row of the member lying in the fewest traces; any trace
-        # above t passes through every member of t, so a member in t alone
-        # settles it.  A set's ``<`` fails in O(1) unless the right side is
-        # larger.
-        vertex_traces = self._vertex_traces
-        s = self._members[t]
-        pivot: set[int] = set()
-        fewest = -1
-        for v in s:
-            row = vertex_traces[v]
-            ln = len(row)
-            if ln == 1:
-                return False
-            if fewest < 0 or ln < fewest:
-                fewest = ln
-                pivot = row
-        members = self._members
-        for u in pivot:
-            if s < members[u]:
-                return True
-        return False
-
-    def _unlink(self, t: int) -> None:
-        """Remove ``t`` from the chain of its current hash (plain index)."""
-        code = self._hash[t]
-        nxt = self._next
-        head = self._by_hash[code]
-        if head == t:
-            if nxt[t] < 0:
-                del self._by_hash[code]
-            else:
-                self._by_hash[code] = nxt[t]
-            return
-        while nxt[head] != t:
-            head = nxt[head]
-        nxt[head] = nxt[t]
 
     def _drop(self, t: int) -> set[int]:
         """Remove ``t`` from its members' rows, for good; returns the members."""
@@ -254,16 +217,6 @@ class TraceIndex:
         if len(gone) > 1 and len(set(gone)) < len(gone):
             x = next(x for i, x in enumerate(gone) if x in gone[:i])
             raise ValueError(f"vertex {x} repeated")
-        changed = self._delete_strong(gone) if self.strong else self._delete_plain(gone)
-        heap = self._heap
-        vertex_traces = self._vertex_traces
-        for v in changed:
-            heappush(heap, (len(vertex_traces[v]), v))
-
-    def _delete_strong(self, gone: tuple[int, ...]) -> set[int]:
-        """Delete ``gone`` from a strong index; returns the members of the
-        traces dropped, the vertices whose degree fell."""
-        alive = self.alive
         keys = self._keys
         members = self._members
         hashes = self._hash
@@ -278,14 +231,28 @@ class TraceIndex:
                 hashes[t] ^= key
             touched |= row
             vertex_traces[x] = set()
+        changed = self._settle(touched, ({}, {}) if self.strong else self._filed)
+        heap = self._heap
+        for v in changed:
+            heappush(heap, (len(vertex_traces[v]), v))
 
-        # Equal pairs arise only among the traces shrunk here, so a table
-        # local to this call finds them: the first trace of each hash and,
-        # once distinct traces share one, the list of all that do.  Equal
-        # traces share a hash, and a set compare confirms every hit.
+    def _settle(self, touched: Iterable[int], filed: tuple[dict[int, int], dict[int, list[int]]]) -> set[int]:
+        """File each trace of ``touched`` under its hash in ``filed``, the
+        first id per hash and the list of all, once a second id shares it,
+        and drop the trace if a filed one has the same members or, in a
+        strong index, a kept one lies strictly above it.  Returns the
+        members of the traces dropped, the vertices whose degree fell.
+
+        A plain index's entries go stale (see the module docstring), so
+        the list is scanned even when the first entry is ``t`` itself, filed
+        under this hash in an earlier shape.
+        """
+        members = self._members
+        hashes = self._hash
+        vertex_traces = self._vertex_traces
+        strong = self.strong
+        first, shared = filed
         changed: set[int] = set()
-        first: dict[int, int] = {}
-        shared: dict[int, list[int]] = {}
         for t in touched:
             s = members[t]
             if not s:
@@ -294,14 +261,18 @@ class TraceIndex:
                 continue
             code = hashes[t]
             u = first.setdefault(code, t)
-            if u != t:
+            if u != t or code in shared:
                 same = shared.setdefault(code, [u])
-                if s in [members[w] for w in same]:
+                if s in [members[w] for w in same if w != t]:
                     changed |= self._drop(t)  # the equal trace stays
                     continue
                 same.append(t)
-            # The re-check of _dominated, inline: scan the shortest row
-            # among the members, unless one lies in t alone.
+            if not strong:
+                continue
+            # Scan the row of the member lying in the fewest kept traces; any
+            # trace above t passes through every member of t, so a member in
+            # t alone settles it.  A set's ``<`` fails in O(1) unless the
+            # right side is larger.
             fewest = 0
             for v in s:
                 row = vertex_traces[v]
@@ -316,46 +287,4 @@ class TraceIndex:
                     if s < members[u]:
                         changed |= self._drop(t)
                         break
-        return changed
-
-    def _delete_plain(self, gone: tuple[int, ...]) -> set[int]:
-        """Delete ``gone`` from a plain index; returns the members of the
-        traces dropped, the vertices whose degree fell."""
-        alive = self.alive
-        keys = self._keys
-        members = self._members
-        hashes = self._hash
-        by_hash = self._by_hash
-        nxt = self._next
-        vertex_traces = self._vertex_traces
-        # Shrink every trace through gone, unlinked under its old hash first,
-        # so the lookups below never meet a trace that is yet to be placed.
-        touched: set[int] = set()
-        for x in gone:
-            alive[x] = False
-            key = keys[x]
-            for t in vertex_traces[x]:
-                if t not in touched:
-                    touched.add(t)
-                    self._unlink(t)
-                members[t].discard(x)
-                hashes[t] ^= key
-            vertex_traces[x] = set()
-
-        changed: set[int] = set()
-        for t in touched:
-            s = members[t]
-            if not s:
-                # Emptied: unlinked above, so no chain meets it.
-                members[t] = None
-                continue
-            code = hashes[t]
-            u = by_hash.get(code, -1)
-            while u >= 0 and members[u] != s:
-                u = nxt[u]
-            if u < 0:
-                nxt[t] = by_hash.get(code, -1)
-                by_hash[code] = t
-            else:
-                changed |= self._drop(t)  # u has the same members and stays
         return changed

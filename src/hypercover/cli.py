@@ -359,6 +359,10 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "input_option", None) is not None and getattr(args, "input", None) not in (None, "-"):
         print("error: give the input either positionally or via --input, not both", file=sys.stderr)
         return 2
+    if args.command == "gen" and args.n > sys.maxsize:
+        # The bound of a header count; past it no list or range can be made.
+        print(f"error: argument --n: must not exceed {sys.maxsize}", file=sys.stderr)
+        return 2
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning

@@ -422,6 +422,22 @@ class TestTraceIndex:
         assert index.deg[0] == 1
         assert index.pop_min() == (1, 0)
 
+    def test_a_shrunk_trace_merges_into_one_the_deletion_missed(self):
+        # {0, 1} shrinks to {0}, filed by the build and untouched here.
+        index = TraceIndex(Hypergraph(2, ((0,), (0, 1))), strong=False)
+        index.delete_vertex(1)
+        assert index.traces() == {frozenset({0}): 0}
+        assert index.deg[0] == 1
+
+    def test_a_trace_filed_first_under_its_hash_merges_when_it_shrinks(self):
+        # With one hash for all, trace 0 heads the table and shrinks onto
+        # trace 1, which only the list of that hash holds.
+        with colliding_keys():
+            index = TraceIndex(Hypergraph(2, ((0, 1), (0,))), strong=False)
+        index.delete_vertex(1)
+        assert index.traces() == {frozenset({0}): 0}
+        assert index.deg[0] == 1
+
     def test_a_kept_trace_that_no_edge_generates_is_a_certificate_error(self):
         index = TraceIndex(Hypergraph(3, ((0, 1), (1, 2))), strong=True)
         index._members[0].add(2)  # {0, 1, 2}: no base edge generates it

@@ -108,39 +108,57 @@ def test_core_that_peels_a_single_round(monkeypatch):
     assert caught(check, test_degeneracy.CORE_EXAMPLES)
 
 
+def collided(check):
+    """``check`` run with every Zobrist key zero, so that all traces share
+    one hash: with random keys, distinct traces rarely do."""
+    def run(*args):
+        with test_degeneracy.colliding_keys():
+            check(*args)
+    return run
+
+
 def test_deletion_that_skips_merging_two_shrunken_traces(monkeypatch):
-    # A strong index finds merges in a table local to each deletion, a plain
-    # one in its hash chains; each is mutated in turn.
     check = test_degeneracy.TestTraceIndex().check_records
     cases = list(deletion_sets())
     assert not caught(check, cases)
-    for method, old, new in (
-        ("_delete_strong", "if s in [members[w] for w in same]:", "if False:"),
-        ("_delete_plain", "while u >= 0 and members[u] != s:", "while u >= 0 and (members[u] != s or u in touched):"),
-    ):
-        with monkeypatch.context() as patch:
-            patch.setattr(TraceIndex, method, mutant(getattr(TraceIndex, method), old, new))
-            assert caught(check, cases), method
+    monkeypatch.setattr(TraceIndex, "_settle", mutant(TraceIndex._settle, "if s in [members[w] for w in same if w != t]:", "if False:"))
+    assert caught(check, cases)
 
 
 def test_strong_deletion_that_merges_on_a_hash_hit_without_comparing_sets(monkeypatch):
-    # Distinct traces rarely share a hash, so only all-zero keys show it.
-    def check(h, parts):
-        with test_degeneracy.colliding_keys():
-            test_degeneracy.TestTraceIndex().check_records(h, parts)
-
+    check = collided(test_degeneracy.TestTraceIndex().check_records)
     cases = list(deletion_sets())
     assert not caught(check, cases)
-    wrong = mutant(TraceIndex._delete_strong, "if s in [members[w] for w in same]:", "if same:")
-    monkeypatch.setattr(TraceIndex, "_delete_strong", wrong)
+    monkeypatch.setattr(TraceIndex, "_settle", mutant(TraceIndex._settle, "if s in [members[w] for w in same if w != t]:", "if same:"))
     assert caught(check, cases)
 
 
 def test_strong_deletion_that_keeps_a_shrunk_trace_inside_another(monkeypatch):
+    # The build runs the same pass, so this mutant keeps dominated edges too.
     check = test_degeneracy.TestTraceIndex().check_records
     cases = list(deletion_sets())
     assert not caught(check, cases)
-    monkeypatch.setattr(TraceIndex, "_delete_strong", mutant(TraceIndex._delete_strong, "if s < members[u]:", "if False:"))
+    monkeypatch.setattr(TraceIndex, "_settle", mutant(TraceIndex._settle, "if s < members[u]:", "if False:"))
+    assert caught(check, cases)
+
+
+def test_plain_deletion_that_forgets_the_traces_filed_before_it(monkeypatch):
+    # A shrunk trace may equal one the deletion missed, filed by the build or
+    # an earlier call.
+    check = test_degeneracy.TestTraceIndex().check_records
+    cases = list(deletion_sets())
+    assert not caught(check, cases)
+    wrong = mutant(TraceIndex.delete_vertex, "({}, {}) if self.strong else self._filed", "({}, {})")
+    monkeypatch.setattr(TraceIndex, "delete_vertex", wrong)
+    assert caught(check, cases)
+
+
+def test_plain_deletion_that_skips_the_list_when_the_first_entry_is_itself(monkeypatch):
+    # Only a colliding hash files a trace under the same hash twice.
+    check = collided(test_degeneracy.TestTraceIndex().check_records)
+    cases = list(deletion_sets())
+    assert not caught(check, cases)
+    monkeypatch.setattr(TraceIndex, "_settle", mutant(TraceIndex._settle, "if u != t or code in shared:", "if u != t:"))
     assert caught(check, cases)
 
 

@@ -224,6 +224,13 @@ def test_an_option_too_long_to_convert_is_a_usage_error(capsys, int_digit_limit)
     assert f"argument --n: invalid int value: '{LONG}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family", [["gap"], ["tree"], ["hg", "--m", "1", "--max-size", "1"]])
+def test_a_generated_size_past_the_index_range_is_a_usage_error(capsys, family):
+    # Past sys.maxsize, gap and hg raised OverflowError and tree never ended.
+    assert main(["gen", family[0], "--n", "99999999999999999999", *family[1:]]) == 2
+    assert capsys.readouterr().err == f"error: argument --n: must not exceed {sys.maxsize}\n"
+
+
 @pytest.mark.parametrize("argv", [["verify", "--kind", "dominating", "--ids", "1"], ["audit", "--trials", "1"]])
 def test_a_graph_too_large_to_allocate_is_out_of_memory(tmp_path, capsys, argv):
     # One adjacency row per vertex of 10^18 is a request that fails at once.
