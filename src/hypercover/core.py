@@ -75,19 +75,30 @@ class Hypergraph:
             raise ParameterError("edge_labels must match the edge list in length")
 
     @classmethod
+    def _unchecked(
+        cls, n: int, edges: tuple[tuple[int, ...], ...], edge_labels: tuple[str, ...] | None = None
+    ) -> "Hypergraph":
+        """Build without ``__post_init__``, for edges that are valid by
+        construction: the readers and ``from_edges`` have checked each rule
+        once, or the edges were derived from a value that was checked."""
+        h = object.__new__(cls)
+        h.__dict__.update(n=n, edges=edges, edge_labels=edge_labels)
+        return h
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[Iterable[int]], strict: bool = True) -> "Hypergraph":
         """Normalize ``edges`` (sorting each) and build a hypergraph.
 
         Duplicate edges raise :class:`DuplicateEdgeError` when ``strict``,
         otherwise later copies are dropped with a :class:`FormatWarning`.
         """
-        out = [tuple(sorted(set(raw))) for raw in edges]
-        if not strict:
-            unique = list(dict.fromkeys(out))
-            if len(unique) < len(out):
-                warnings.warn(f"merged {len(out) - len(unique)} duplicate edge(s)", FormatWarning, stacklevel=2)
-                out = unique
-        return cls(n, tuple(out))
+        out = tuple(tuple(sorted(set(raw))) for raw in edges)
+        unique = _distinct(out, strict)
+        # A sorted edge lies in range when its two ends do.
+        if unique is not None and n >= 0 and all(e and not (e[0] < 0 or e[-1] >= n) for e in unique):
+            return cls._unchecked(n, unique)
+        # Some rule fails: the full check raises for the first fault.
+        return cls(n, out if unique is None else unique)
 
     @property
     def m(self) -> int:
@@ -266,6 +277,20 @@ def _reject_isolated(h: Hypergraph) -> None:
         raise IsolatedVertexError("vertex {} lies in no edge", v)
 
 
+def _distinct(edges: tuple[tuple[int, ...], ...], strict: bool) -> tuple[tuple[int, ...], ...] | None:
+    """``edges`` under the duplicate-edge rule: ``None`` when ``strict`` and
+    some edge repeats, which the full check then names, otherwise the edges
+    with later copies dropped (with a :class:`FormatWarning` to the caller's
+    caller)."""
+    unique = tuple(dict.fromkeys(edges))
+    if len(unique) == len(edges):
+        return edges
+    if strict:
+        return None
+    warnings.warn(f"merged {len(edges) - len(unique)} duplicate edge(s)", FormatWarning, stacklevel=3)
+    return unique
+
+
 def _merge_generated(rows: Iterable[tuple[int, ...]]) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Merge the edges generated by vertices ``0, 1, ...`` (``rows[v]`` is the
     ascending edge of generator ``v``): identical rows become one edge.
@@ -297,7 +322,8 @@ def dual(h: Hypergraph) -> Hypergraph:
     _reject_isolated(h)
     edges, generators = h._incidence_classes
     labels = tuple(",".join(f"v{v + 1}" for v in gen) for gen in generators)
-    return Hypergraph(h.m, edges, labels)
+    # Incidence rows are ascending edge ids, nonempty and merged when equal.
+    return Hypergraph._unchecked(h.m, edges, labels)
 
 
 CHECK_KINDS = ("edge-cover", "independent-set", "transversal", "matching")
@@ -493,14 +519,20 @@ def parse_hypergraph(text: str, strict: bool = True) -> Hypergraph:
             raise FormatError(f"line {lineno}: vertex ids must be written with the digits 0-9") from None
         except OverflowError as exc:
             raise VertexOutOfRangeError(f"line {lineno}: a vertex id of {exc} digits lies outside 1..{n}") from None
-        for v in ids:
-            if not 1 <= v <= n:
-                raise VertexOutOfRangeError(f"line {lineno}: vertex {v} outside 1..{n}")
-        if len(set(ids)) != len(ids):
+        # The canonical edge, whose two ends bound its range.
+        edge = tuple(sorted({v - 1 for v in ids}))
+        if edge[0] < 0 or edge[-1] >= n:
+            v = next(v for v in ids if not 1 <= v <= n)
+            raise VertexOutOfRangeError(f"line {lineno}: vertex {v} outside 1..{n}")
+        if len(edge) != len(ids):
             warnings.warn(f"line {lineno}: repeated vertex inside an edge", FormatWarning, stacklevel=2)
-        edges.append(tuple(v - 1 for v in ids))
+        edges.append(edge)
     _check_edge_count(m, len(edges))
-    return Hypergraph.from_edges(n, edges, strict=strict)
+    found = tuple(edges)
+    unique = _distinct(found, strict)
+    # Every edge passed its checks above; the full check names a strict
+    # repeat.
+    return Hypergraph(n, found) if unique is None else Hypergraph._unchecked(n, unique)
 
 
 def format_hypergraph(h: Hypergraph) -> str:

@@ -76,9 +76,10 @@ def _peel(
     values = [0] * len(order)
     ids = sorted(seen) if order else range(h.n)
     if order:
-        # Renumbering in id order keeps every tie; edge ids stay put.
+        # Renumbering in id order keeps every tie, and every edge sorted and
+        # distinct; edge ids stay put.
         local = {v: i for i, v in enumerate(ids)}
-        h = Hypergraph(len(ids), tuple(tuple(local[v] for v in e) for e in h.edges))
+        h = Hypergraph._unchecked(len(ids), tuple(tuple(local[v] for v in e) for e in h.edges))
     index = TraceIndex(h, strong=strong, maximal=maximal)
     taken: list[int] = []
     while (entry := index.pop_min()) is not None:

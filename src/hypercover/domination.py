@@ -78,30 +78,46 @@ class Graph:
                     raise ParameterError(f"edge {v}-{u} is not symmetric")
 
     @classmethod
+    def _unchecked(cls, n: int, adj: tuple[tuple[int, ...], ...]) -> "Graph":
+        """Build without ``__post_init__``, for rows that are valid by
+        construction (see :meth:`from_edges`)."""
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, adj=adj)
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build from an edge list; repeated edges merge with a warning."""
-        # A vertex gets a set at its first neighbour; until then it shares
-        # the empty row, so edgeless vertices cost no set.
-        rows: list[set[int] | tuple[()]] = [()] * n
-        dropped = 0
+        """Build from an edge list; repeated edges merge with a warning.
+
+        Each edge is checked once, so the rows it builds are valid and skip
+        the constructor's checks.
+        """
+        # A vertex gets a list at its first neighbour; until then it shares
+        # the empty row, so edgeless vertices cost no list.
+        rows: list[list[int] | tuple[()]] = [()] * n
         for u, v in edges:
-            for w in (u, v):
-                if not 0 <= w < n:
-                    raise VertexOutOfRangeError(f"vertex {w} outside 0..{n - 1}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise VertexOutOfRangeError(f"vertex {v if 0 <= u < n else u} outside 0..{n - 1}")
             if u == v:
                 raise ParameterError(f"self-loop at {u}")
-            if v in rows[u]:
-                dropped += 1
-                continue
-            if not rows[u]:
-                rows[u] = set()
-            if not rows[v]:
-                rows[v] = set()
-            rows[u].add(v)
-            rows[v].add(u)
-        if dropped:
-            warnings.warn(f"merged {dropped} duplicate edge(s)", FormatWarning, stacklevel=2)
-        return cls(n, tuple(tuple(sorted(row)) for row in rows))
+            if rows[u]:
+                rows[u].append(v)
+            else:
+                rows[u] = [v]
+            if rows[v]:
+                rows[v].append(u)
+            else:
+                rows[v] = [u]
+        # No edge fits a negative n, so only an edgeless input gets here.
+        if n < 0:
+            raise ParameterError("vertex count must be nonnegative")
+        adj = [tuple(sorted(row)) for row in rows]
+        # A repeated edge repeats a neighbour in both of its rows.
+        extra = sum([len(row) - len(set(row)) for row in adj if len(row) > 1])
+        if extra:
+            warnings.warn(f"merged {extra // 2} duplicate edge(s)", FormatWarning, stacklevel=2)
+            adj = [tuple(sorted(set(row))) for row in adj]
+        return cls._unchecked(n, tuple(adj))
 
     @property
     def m(self) -> int:
@@ -142,9 +158,8 @@ def _read_graph(text: str) -> tuple[int, list[tuple[int, int]]]:
             raise FormatError(f"line {lineno}: endpoints must be written with the digits 0-9") from None
         except OverflowError as exc:
             raise VertexOutOfRangeError(f"line {lineno}: a vertex id of {exc} digits lies outside 1..{n}") from None
-        for w in (u, v):
-            if not 1 <= w <= n:
-                raise VertexOutOfRangeError(f"line {lineno}: vertex {w} outside 1..{n}")
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise VertexOutOfRangeError(f"line {lineno}: vertex {v if 1 <= u <= n else u} outside 1..{n}")
         if u == v:
             raise FormatError(f"line {lineno}: self-loop at {u}")
         edges.append((u - 1, v - 1))
@@ -175,7 +190,8 @@ def _neighborhoods(g: Graph, kind: str) -> tuple[Hypergraph, tuple[tuple[int, ..
     edges, generators = _merge_generated(rows)
     name = "N[v{}]" if closed else "N(v{})"
     labels = tuple(",".join(name.format(v + 1) for v in gen) for gen in generators)
-    return Hypergraph(g.n, edges, labels), generators
+    # The rows of a checked graph, nonempty and merged when equal.
+    return Hypergraph._unchecked(g.n, edges, labels), generators
 
 
 def neighborhood_hypergraph(g: Graph, kind: str = "closed") -> Hypergraph:

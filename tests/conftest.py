@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import random
+import warnings
 from itertools import combinations
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from hypercover import (
     strong_degree,
     strong_remove,
 )
+from hypercover.errors import HypercoverError
 from hypercover.oracles import _TABLE, _masks
 
 # Subprocesses (``python -m hypercover``, the demos) import this checkout's
@@ -42,6 +44,74 @@ MALFORMED_HEADERS = {
     "missing-header": "e 1 2\n",
     "count-off-by-one": "p {tag} 2 2\ne 1 2\n",
 }
+
+
+# A vertex id of 4,301 digits, one more than int() converts by default.
+LONG_ID = "1" * 4301
+
+
+def outcome(call):
+    """``call()`` as (error class name, message, warning messages); a call
+    that returns gives ``None`` and the value's edges or rows instead."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = call()
+        except HypercoverError as exc:
+            return type(exc).__name__, str(exc), [str(w.message) for w in caught]
+    rows = value.edges if isinstance(value, Hypergraph) else value.adj
+    return None, rows, [str(w.message) for w in caught]
+
+
+def check_outcome(call, pinned) -> None:
+    assert outcome(call) == pinned
+
+
+def check_fully_checked(x) -> None:
+    """The hypergraph or graph ``x`` passes every rule of its constructor,
+    and a fresh build from its fields equals it, labels included."""
+    hypergraph = isinstance(x, Hypergraph)
+    rows = x.edges if hypergraph else x.adj
+    assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+    try:
+        again = Hypergraph(x.n, x.edges, x.edge_labels) if hypergraph else Graph(x.n, x.adj)
+    except HypercoverError as exc:
+        raise AssertionError(f"{x!r} breaks a rule: {exc}") from None
+    assert again == x
+    assert not hypergraph or again.edge_labels == x.edge_labels
+
+
+def messy_inputs(count: int = 200, seed: int = 2020):
+    """Seeded raw inputs for the readers and ``from_edges``: (n, hypergraph
+    edges, graph edges), each edge a list of 0-based ids in random order.
+    Vertices in no edge, ids repeated inside a hypergraph edge, and repeated
+    edges (graph edges either way round) all occur."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 9)
+        hg: list[list[int]] = []
+        for _ in range(rng.randint(0, 2 * n)):
+            edge = rng.sample(range(n), rng.randint(1, min(3, n)))
+            if rng.random() < 0.3:
+                edge.append(rng.choice(edge))
+            rng.shuffle(edge)
+            hg.append(edge)
+            if rng.random() < 0.3:
+                hg.append(rng.sample(edge, len(edge)))
+        gr: list[list[int]] = []
+        for _ in range(rng.randint(0, 2 * n) if n > 1 else 0):
+            pair = rng.sample(range(n), 2)
+            gr.append(pair)
+            if rng.random() < 0.3:
+                gr.append(rng.sample(pair, 2))
+        yield n, hg, gr
+
+
+def text_of(tag: str, n: int, edges) -> str:
+    """``edges`` as a ``.hg`` (``tag="hg"``) or ``.gr`` (``"edge"``) text,
+    lines in list order and ids in edge order, 1-based."""
+    lines = [f"p {tag} {n} {len(edges)}", *("e " + " ".join(str(v + 1) for v in e) for e in edges)]
+    return "\n".join(lines) + "\n"
 
 
 def plain_degeneracy_bf(h):

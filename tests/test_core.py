@@ -8,6 +8,8 @@ definitions; frozen cases pin down concrete outputs.
 from __future__ import annotations
 
 import sys
+import warnings
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -30,6 +32,7 @@ from hypercover import (
     strong_remove,
     vc_dimension,
 )
+from hypercover.degeneracy import _peel
 from hypercover.errors import (
     DuplicateEdgeError,
     EmptyEdgeError,
@@ -43,7 +46,15 @@ from hypercover.errors import (
     VertexOutOfRangeError,
 )
 
-from conftest import MALFORMED_HEADERS, hypergraphs
+from conftest import (
+    LONG_ID,
+    MALFORMED_HEADERS,
+    check_fully_checked,
+    check_outcome,
+    hypergraphs,
+    messy_inputs,
+    text_of,
+)
 
 
 def naive_maximal(edge_sets):
@@ -100,6 +111,146 @@ class TestConstruction:
         a = Hypergraph(2, ((0, 1),), ("x",))
         b = Hypergraph(2, ((0, 1),))
         assert a == b
+
+
+def first_copies(n, raw):
+    """The hypergraph the lenient rule gives, from the definitions alone:
+    each edge's vertex set, later copies of a set dropped."""
+    return Hypergraph(n, tuple(dict.fromkeys(tuple(sorted(set(e))) for e in raw)))
+
+
+class TestDirectBuilds:
+    """The readers, ``from_edges``, ``dual`` and ``_peel``'s renumbering
+    build their values without the constructor's checks; each value must
+    pass them."""
+
+    def test_readers_and_from_edges(self):
+        for n, raw, _ in messy_inputs():
+            expected = first_copies(n, raw)
+            repeats = len(expected.edges) < len(raw)
+            text = text_of("hg", n, raw)
+            for strict in (True, False):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", FormatWarning)
+                    for build in (partial(parse_hypergraph, text), partial(Hypergraph.from_edges, n, raw)):
+                        if strict and repeats:
+                            with pytest.raises(DuplicateEdgeError):
+                                build(strict=strict)
+                            continue
+                        h = build(strict=strict)
+                        check_fully_checked(h)
+                        assert h == expected
+
+    def test_dual(self):
+        for n, raw, _ in messy_inputs():
+            h = first_copies(n, raw)
+            if len(h._covered) == n:
+                check_fully_checked(dual(h))
+
+    def test_peel_renumbering(self, monkeypatch):
+        # The package binds the name ``degeneracy`` to the function.
+        module = sys.modules["hypercover.degeneracy"]
+        built = []
+
+        class Recording(module.TraceIndex):
+            def __init__(self, h, *args, **kwargs):
+                built.append(h)
+                super().__init__(h, *args, **kwargs)
+
+        monkeypatch.setattr(module, "TraceIndex", Recording)
+        renumbered = 0
+        for n, raw, _ in messy_inputs():
+            h = first_copies(n, raw)
+            built.clear()
+            _peel(h, strong=False)
+            (index_input,) = built
+            check_fully_checked(index_input)
+            covered = sorted(h._covered)
+            assert index_input.n == len(covered)
+            assert [[covered[v] for v in e] for e in index_input.edges] == [list(e) for e in h.edges]
+            renumbered += index_input is not h
+        assert renumbered > 50
+
+
+# Each call with its outcome (see conftest.outcome), recorded before the
+# readers and from_edges built their values directly: the message and the
+# warnings of each fault, and which fault wins when there are two.  Each
+# call looks its function up when it runs, so a mutant test can swap it.
+HYPERGRAPH_CONTRACT = {
+    "id-past-n": (
+        lambda: parse_hypergraph("p hg 3 1\ne 1 2 9\n"),
+        ("VertexOutOfRangeError", "line 2: vertex 9 outside 1..3", []),
+    ),
+    "first-bad-id-in-line-order": (
+        lambda: parse_hypergraph("p hg 3 1\ne 2 4 0\n"),
+        ("VertexOutOfRangeError", "line 2: vertex 4 outside 1..3", []),
+    ),
+    "non-digit-id": (
+        lambda: parse_hypergraph("p hg 3 1\ne 1 x\n"),
+        ("FormatError", "line 2: vertex ids must be written with the digits 0-9", []),
+    ),
+    "empty-e-line": (
+        lambda: parse_hypergraph("p hg 3 1\ne\n"),
+        ("EmptyEdgeError", "line 2: edge with no vertices", []),
+    ),
+    "4301-digit-id": (
+        lambda: parse_hypergraph(f"p hg 3 1\ne 1 {LONG_ID}\n"),
+        ("VertexOutOfRangeError", "line 2: a vertex id of 4301 digits lies outside 1..3", []),
+    ),
+    "strict-duplicate": (
+        lambda: parse_hypergraph("p hg 3 2\ne 1 2\ne 2 1\n"),
+        ("DuplicateEdgeError", "edge (0, 1) occurs twice", []),
+    ),
+    "lenient-duplicate": (
+        lambda: parse_hypergraph("p hg 3 2\ne 1 2\ne 2 1\n", strict=False),
+        (None, ((0, 1),), ["merged 1 duplicate edge(s)"]),
+    ),
+    "repeated-id": (
+        lambda: parse_hypergraph("p hg 3 2\ne 3 1 3\ne 2\n"),
+        (None, ((0, 2), (1,)), ["line 2: repeated vertex inside an edge"]),
+    ),
+    "bad-line-after-duplicate": (
+        lambda: parse_hypergraph("p hg 3 3\ne 1 2\ne 1 2\ne 1 9\n"),
+        ("VertexOutOfRangeError", "line 4: vertex 9 outside 1..3", []),
+    ),
+    "count-after-duplicate": (
+        lambda: parse_hypergraph("p hg 3 3\ne 1 2\ne 2 1\n", strict=False),
+        ("FormatError", "header announced 3 edges but 2 appeared", []),
+    ),
+    "from-edges-negative-n": (
+        lambda: Hypergraph.from_edges(-1, []),
+        ("ParameterError", "vertex count must be nonnegative", []),
+    ),
+    "from-edges-negative-n-lenient": (
+        lambda: Hypergraph.from_edges(-1, [(0,)], strict=False),
+        ("ParameterError", "vertex count must be nonnegative", []),
+    ),
+    "from-edges-empty-edge": (
+        lambda: Hypergraph.from_edges(3, [(0,), ()]),
+        ("EmptyEdgeError", "edges must be nonempty", []),
+    ),
+    "from-edges-id-past-n": (
+        lambda: Hypergraph.from_edges(3, [(3, 0)]),
+        ("VertexOutOfRangeError", "edge (0, 3) leaves vertex range 0..2", []),
+    ),
+    "from-edges-negative-id": (
+        lambda: Hypergraph.from_edges(3, [(-1, 0)], strict=False),
+        ("VertexOutOfRangeError", "edge (-1, 0) leaves vertex range 0..2", []),
+    ),
+    "from-edges-duplicate-before-bad-id": (
+        lambda: Hypergraph.from_edges(3, [(0, 1), (1, 0), (5,)]),
+        ("DuplicateEdgeError", "edge (0, 1) occurs twice", []),
+    ),
+    "from-edges-lenient-duplicate-before-bad-id": (
+        lambda: Hypergraph.from_edges(3, [(0, 1), (1, 0), (5,)], strict=False),
+        ("VertexOutOfRangeError", "edge (5,) leaves vertex range 0..2", ["merged 1 duplicate edge(s)"]),
+    ),
+}
+
+
+@pytest.mark.parametrize("call, pinned", HYPERGRAPH_CONTRACT.values(), ids=HYPERGRAPH_CONTRACT)
+def test_error_contract(call, pinned):
+    check_outcome(call, pinned)
 
 
 class TestTextFormat:

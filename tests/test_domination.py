@@ -4,6 +4,9 @@ equivalence audit.
 
 from __future__ import annotations
 
+import warnings
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,7 +40,16 @@ from hypercover.errors import (
     VertexOutOfRangeError,
 )
 
-from conftest import MALFORMED_HEADERS, graphs, trees
+from conftest import (
+    LONG_ID,
+    MALFORMED_HEADERS,
+    check_fully_checked,
+    check_outcome,
+    graphs,
+    messy_inputs,
+    text_of,
+    trees,
+)
 
 
 def assert_generic_agrees(t, kind, cert):
@@ -91,6 +103,109 @@ class TestGraph:
         with pytest.raises(error) as info:
             Graph(n, adj)
         assert str(info.value) == message
+
+
+class TestDirectBuilds:
+    """``parse_graph``, ``Graph.from_edges`` and the neighborhood
+    hypergraphs build their values without the constructor's checks; each
+    value must pass them."""
+
+    def test_readers_and_from_edges(self):
+        for n, _, raw in messy_inputs():
+            pairs = {frozenset(e) for e in raw}
+            expected = tuple(tuple(sorted(u for p in pairs if v in p for u in p if u != v)) for v in range(n))
+            merged = [f"merged {len(raw) - len(pairs)} duplicate edge(s)"] if len(pairs) < len(raw) else []
+            for build in (partial(parse_graph, text_of("edge", n, raw)), partial(Graph.from_edges, n, raw)):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    g = build()
+                assert [str(w.message) for w in caught] == merged
+                check_fully_checked(g)
+                assert g.adj == expected
+
+    def test_neighborhoods(self):
+        for n, _, raw in messy_inputs():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", FormatWarning)
+                g = Graph.from_edges(n, raw)
+            for kind in ("closed", "open") if all(g.adj) else ("closed",):
+                check_fully_checked(neighborhood_hypergraph(g, kind))
+
+
+# Each call with its outcome (see conftest.outcome), recorded before the
+# reader and from_edges built their values directly.  Each call looks its
+# function up when it runs, so a mutant test can swap it.
+GRAPH_CONTRACT = {
+    "self-loop": (
+        lambda: parse_graph("p edge 3 1\ne 2 2\n"),
+        ("FormatError", "line 2: self-loop at 2", []),
+    ),
+    "id-past-n": (
+        lambda: parse_graph("p edge 3 1\ne 1 4\n"),
+        ("VertexOutOfRangeError", "line 2: vertex 4 outside 1..3", []),
+    ),
+    "first-endpoint-past-n": (
+        lambda: parse_graph("p edge 3 1\ne 4 1\n"),
+        ("VertexOutOfRangeError", "line 2: vertex 4 outside 1..3", []),
+    ),
+    "both-endpoints-out": (
+        lambda: parse_graph("p edge 3 1\ne 0 9\n"),
+        ("VertexOutOfRangeError", "line 2: vertex 0 outside 1..3", []),
+    ),
+    "non-digit-id": (
+        lambda: parse_graph("p edge 3 1\ne 1 x\n"),
+        ("FormatError", "line 2: endpoints must be written with the digits 0-9", []),
+    ),
+    "empty-e-line": (
+        lambda: parse_graph("p edge 3 1\ne\n"),
+        ("FormatError", "line 2: expected 'e <u> <v>'", []),
+    ),
+    "4301-digit-id": (
+        lambda: parse_graph(f"p edge 3 1\ne 1 {LONG_ID}\n"),
+        ("VertexOutOfRangeError", "line 2: a vertex id of 4301 digits lies outside 1..3", []),
+    ),
+    "repeated-edge": (
+        lambda: parse_graph("p edge 3 2\ne 1 2\ne 2 1\n"),
+        (None, ((1,), (0,), ()), ["merged 1 duplicate edge(s)"]),
+    ),
+    "from-edges-negative-n": (
+        lambda: Graph.from_edges(-1, []),
+        ("ParameterError", "vertex count must be nonnegative", []),
+    ),
+    "from-edges-negative-n-with-an-edge": (
+        lambda: Graph.from_edges(-1, [(0, 1)]),
+        ("VertexOutOfRangeError", "vertex 0 outside 0..-2", []),
+    ),
+    "from-edges-self-loop": (
+        lambda: Graph.from_edges(2, [(1, 1)]),
+        ("ParameterError", "self-loop at 1", []),
+    ),
+    "from-edges-id-past-n": (
+        lambda: Graph.from_edges(3, [(0, 3)]),
+        ("VertexOutOfRangeError", "vertex 3 outside 0..2", []),
+    ),
+    "from-edges-first-endpoint-past-n": (
+        lambda: Graph.from_edges(3, [(3, 0)]),
+        ("VertexOutOfRangeError", "vertex 3 outside 0..2", []),
+    ),
+    "from-edges-negative-id": (
+        lambda: Graph.from_edges(3, [(0, -1)]),
+        ("VertexOutOfRangeError", "vertex -1 outside 0..2", []),
+    ),
+    "from-edges-repeated-edges": (
+        lambda: Graph.from_edges(3, [(0, 1), (1, 0), (0, 1), (1, 2)]),
+        (None, ((1,), (0, 2), (1,)), ["merged 2 duplicate edge(s)"]),
+    ),
+    "from-edges-self-loop-after-a-repeat": (
+        lambda: Graph.from_edges(3, [(0, 1), (1, 0), (2, 2)]),
+        ("ParameterError", "self-loop at 2", []),
+    ),
+}
+
+
+@pytest.mark.parametrize("call, pinned", GRAPH_CONTRACT.values(), ids=GRAPH_CONTRACT)
+def test_error_contract(call, pinned):
+    check_outcome(call, pinned)
 
 
 class TestGraphFormat:

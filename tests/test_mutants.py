@@ -17,14 +17,16 @@ import random
 import sys
 import textwrap
 
-from hypercover import gap_family
+from hypercover import Graph, gap_family, parse_hypergraph
 from hypercover._trace_index import TraceIndex
 from hypercover.degeneracy import _best_restriction, _strong_core, _strong_degeneracy
 from hypercover.oracles import _search
 
-from conftest import sparse_corpus
+from conftest import check_outcome, sparse_corpus
+import test_core
 import test_cover
 import test_degeneracy
+import test_domination
 import test_oracles
 
 
@@ -194,3 +196,20 @@ def test_packing_bound_one_too_strict(monkeypatch):
     assert not caught(check, cases)
     install(monkeypatch, _search, mutant(_search, "size + g - j <= bound", "size + g - j <= bound + 1"))
     assert caught(check, cases)
+
+
+def test_graph_from_edges_without_its_self_loop_check(monkeypatch):
+    # The reader rejects a self-loop itself, so only a direct call shows it.
+    cases = list(test_domination.GRAPH_CONTRACT.values())
+    assert not caught(check_outcome, cases)
+    monkeypatch.setattr(Graph, "from_edges", mutant(Graph.from_edges.__func__, "if u == v:", "if False:"))
+    assert caught(check_outcome, cases)
+
+
+def test_hypergraph_reader_that_skips_the_strict_duplicate_edge_rule(monkeypatch):
+    cases = list(test_core.HYPERGRAPH_CONTRACT.values())
+    assert not caught(check_outcome, cases)
+    old = "Hypergraph(n, found) if unique is None else Hypergraph._unchecked(n, unique)"
+    wrong = mutant(parse_hypergraph, old, "Hypergraph._unchecked(n, found if unique is None else unique)")
+    install(monkeypatch, parse_hypergraph, wrong)
+    assert caught(check_outcome, cases)
