@@ -36,13 +36,19 @@ A strong index rests on three facts about deleting a set ``R``:
 * equal pairs arise only among shrunk traces: a kept trace that missed
   ``R`` was not inside any trace, so it is not inside or equal to what one
   shrank to.  It keeps its status, and only the shrunk survivors are
-  re-checked, each by one scan of the shortest row among its members.
+  re-checked, each by a scan of the traces through two of its members.
 
 A deletion thus costs the sum over ``x`` in ``R`` of the kept traces
 through ``x``, plus one table lookup per shrunk trace, plus |t| per dropped
-trace, plus, in a strong index, one dominance scan per shrunk survivor.
-Dropped traces cost nothing again.  A strong build scans one row per edge
-to drop the edges inside others, unless it is handed the ids of the
+trace, plus, in a strong index, one dominance check per shrunk survivor
+``t``.  The check intersects, in C, the rows of the first two members of
+``t`` and tests each trace in both; while one of those rows holds at most
+``8|t|`` traces, it costs O(|t|), and far less when the intersection is
+``{t}`` alone, as it almost always is.  Otherwise the two members are
+shared by many traces (a sunflower's kernel), and a walk over the other
+members finds the shortest row to scan: O(|t|) plus that row.
+Dropped traces cost nothing again.  A strong build checks every edge the
+same way to drop the edges inside others, unless it is handed the ids of the
 maximal edges, which ``trace_ids()`` of another strong index of the same
 hypergraph lists before its first deletion.
 
@@ -73,6 +79,17 @@ from .errors import CertificateError
 # confirmed by comparing member sets; fixed keys keep the cost repeatable.
 _KEYS: list[int] = []
 _KEY_SOURCE = random.Random(0x5EED)
+
+
+# A strong re-check of a shrunk trace t intersects the rows of its first two
+# members only when one of them holds at most this many traces per member of
+# t.  A set intersection visits each entry of the shorter row in C, about an
+# order of magnitude faster than a step of a Python loop, so it then costs
+# about what the walk over t's members does, and no check costs more than a
+# constant times that walk.  Unguarded, two members shared by many traces,
+# like the kernel of a sunflower, would cost their shared degree at every
+# shrink of every trace through them: quadratic over a peel.
+_PAIR_ROWS = 8
 
 
 def _zobrist_keys(n: int) -> list[int]:
@@ -269,22 +286,25 @@ class TraceIndex:
                 same.append(t)
             if not strong:
                 continue
-            # Scan the row of the member lying in the fewest kept traces; any
-            # trace above t passes through every member of t, so a member in
-            # t alone settles it.  A set's ``<`` fails in O(1) unless the
-            # right side is larger.
-            fewest = 0
-            for v in s:
-                row = vertex_traces[v]
-                ln = len(row)
-                if ln == 1:
+            # Any trace above t passes through every member of t, so it lies
+            # in the row of each: the first member's row when only t is in
+            # it, else its intersection with the second's, almost always {t}
+            # alone.  When both rows are long (see _PAIR_ROWS), a walk over
+            # the other members finds the shortest row to scan instead.  A
+            # set's ``<`` fails in O(1) unless the right side is larger.
+            it = iter(s)
+            row = vertex_traces[next(it)]
+            if len(row) > 1 and len(s) > 1:
+                other = vertex_traces[next(it)]
+                bar = _PAIR_ROWS * len(s)
+                if len(row) <= bar or len(other) <= bar:
+                    row = row & other
+                else:
+                    for v in it:
+                        if len(vertex_traces[v]) < len(row):
+                            row = vertex_traces[v]
+            for u in row:
+                if s < members[u]:
+                    changed |= self._drop(t)
                     break
-                if not fewest or ln < fewest:
-                    fewest = ln
-                    pivot = row
-            else:
-                for u in pivot:
-                    if s < members[u]:
-                        changed |= self._drop(t)
-                        break
         return changed

@@ -58,6 +58,10 @@ class Hypergraph:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ParameterError("vertex count must be nonnegative")
+        # A list would pass every rule below, yet leave the value unhashable
+        # and unequal to its tuple form.
+        if not isinstance(self.edges, tuple):
+            raise ParameterError("edges must be a tuple of edge tuples")
         seen: set[tuple[int, ...]] = set()
         for edge in self.edges:
             if not edge:

@@ -62,6 +62,9 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ParameterError("vertex count must be nonnegative")
+        # As in Hypergraph: a list would leave the value unhashable.
+        if not isinstance(self.adj, tuple):
+            raise ParameterError("adjacency table must be a tuple of row tuples")
         if len(self.adj) != self.n:
             raise ParameterError("adjacency table must have one row per vertex")
         # A vertex with no neighbours keeps its shared empty row: no set.

@@ -245,6 +245,10 @@ HYPERGRAPH_CONTRACT = {
         lambda: Hypergraph.from_edges(3, [(0, 1), (1, 0), (5,)], strict=False),
         ("VertexOutOfRangeError", "edge (5,) leaves vertex range 0..2", ["merged 1 duplicate edge(s)"]),
     ),
+    "direct-list-of-edges": (
+        lambda: Hypergraph(3, [(0, 1)]),
+        ("ParameterError", "edges must be a tuple of edge tuples", []),
+    ),
 }
 
 

@@ -8,6 +8,7 @@ brute force.
 
 from __future__ import annotations
 
+import contextlib
 import random
 import sys
 from unittest import mock
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypercover import (
+    Graph,
     Hypergraph,
     degeneracy,
     degree,
@@ -282,6 +284,39 @@ class TestSparseCorpus:
                 assert greedy_cover(h, mighty=True).mighty_factor == mighty, h
 
 
+def hub_pair_shapes():
+    """Hypergraphs whose first two vertices lie together in many traces: the
+    closed neighborhoods of K_{2,24}, a sunflower with kernel {0, 1} and 30
+    one-vertex petals, and one with kernel {0, 1, 2} and 40 two-vertex
+    petals.  While two kernel vertices each lie in more than
+    ``_PAIR_ROWS * |t|`` traces, a strong re-check of a trace t through both
+    walks t for its shortest row; traces that meet a short row, and the
+    kernel's rows once petals or leaves go, take the intersection of two
+    rows instead.  Each shape runs both ways of the check."""
+    k2 = Graph.from_edges(26, [(hub, leaf) for hub in (0, 1) for leaf in range(2, 26)])
+    return (
+        neighborhood_hypergraph(k2),
+        Hypergraph(32, tuple((0, 1, p) for p in range(2, 32))),
+        Hypergraph(83, tuple((0, 1, 2, p, p + 1) for p in range(3, 83, 2))),
+    )
+
+
+def hub_pair_deletions():
+    """Each hub-pair shape with the disjoint sets it loses: its last eight
+    vertices one at a time, leaves or petals whose loss shrinks traces
+    through the kernel and leaves some inside others, then all but one of
+    the rest in three seeded sets."""
+    for h in hub_pair_shapes():
+        rest = random.Random(h.n).sample(range(h.n - 8), h.n - 9)
+        step = len(rest) // 3 + 1
+        singles = [{v} for v in range(h.n - 1, h.n - 9, -1)]
+        yield h, singles + [set(rest[i:i + step]) for i in range(0, len(rest), step)]
+
+
+HUB_PAIR_IDS = ("k2-24-closed", "sunflower-kernel-2", "sunflower-kernel-3")
+KEYS = pytest.mark.parametrize("collide", (False, True), ids=("real-keys", "colliding-keys"))
+
+
 class TestTraceIndex:
     """White-box checks of the incremental engine against restrictions."""
 
@@ -357,6 +392,12 @@ class TestTraceIndex:
         with colliding_keys():
             self.check_records(h, self.disjoint_sets(h, data))
 
+    @KEYS
+    @pytest.mark.parametrize("h, parts", tuple(hub_pair_deletions()), ids=HUB_PAIR_IDS)
+    def test_set_deletions_track_restrictions_on_hub_pairs(self, h, parts, collide):
+        with colliding_keys() if collide else contextlib.nullcontext():
+            self.check_records(h, parts)
+
     @pytest.mark.parametrize("gone", [(1, 1), (0, 1, 0), (0, 4), (2, -1), (3,)])
     def test_a_bad_deletion_changes_nothing(self, gone):
         h = Hypergraph.from_edges(4, [(0, 1), (0, 2), (1, 2, 3)])
@@ -400,6 +441,12 @@ class TestTraceIndex:
     @gap_family_examples
     def test_a_build_from_handed_over_ids_matches_a_fresh_build_when_every_hash_collides(self, h):
         with colliding_keys():
+            self.check_handed_over_build(h)
+
+    @KEYS
+    @pytest.mark.parametrize("h", hub_pair_shapes(), ids=HUB_PAIR_IDS)
+    def test_a_build_from_handed_over_ids_matches_a_fresh_build_on_hub_pairs(self, h, collide):
+        with colliding_keys() if collide else contextlib.nullcontext():
             self.check_handed_over_build(h)
 
     @given(hypergraphs(), st.data())

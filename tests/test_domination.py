@@ -200,6 +200,10 @@ GRAPH_CONTRACT = {
         lambda: Graph.from_edges(3, [(0, 1), (1, 0), (2, 2)]),
         ("ParameterError", "self-loop at 2", []),
     ),
+    "direct-list-of-rows": (
+        lambda: Graph(2, [(1,), (0,)]),
+        ("ParameterError", "adjacency table must be a tuple of row tuples", []),
+    ),
 }
 
 

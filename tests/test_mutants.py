@@ -144,6 +144,27 @@ def test_strong_deletion_that_keeps_a_shrunk_trace_inside_another(monkeypatch):
     assert caught(check, cases)
 
 
+def test_strong_recheck_that_scans_the_traces_through_one_member_but_not_the_other(monkeypatch):
+    # Every trace above a shrunk one holds both of its first two members.
+    check = test_degeneracy.TestTraceIndex().check_records
+    cases = [*deletion_sets(), *test_degeneracy.hub_pair_deletions()]
+    assert not caught(check, cases)
+    monkeypatch.setattr(TraceIndex, "_settle", mutant(TraceIndex._settle, "row = row & other", "row = row - other"))
+    assert caught(check, cases)
+
+
+def test_strong_recheck_past_a_hub_pair_that_scans_the_shortest_row_of_any_vertex(monkeypatch):
+    # Only the hub shapes give two members rows long enough for this branch;
+    # a deleted vertex's empty row, or a row missing a member, hides the
+    # traces above.
+    check = test_degeneracy.TestTraceIndex().check_records
+    cases = [*deletion_sets(), *test_degeneracy.hub_pair_deletions()]
+    assert not caught(check, cases)
+    wrong = mutant(TraceIndex._settle, "for v in it:", "for v in range(len(vertex_traces)):")
+    monkeypatch.setattr(TraceIndex, "_settle", wrong)
+    assert caught(check, cases)
+
+
 def test_plain_deletion_that_forgets_the_traces_filed_before_it(monkeypatch):
     # A shrunk trace may equal one the deletion missed, filed by the build or
     # an earlier call.

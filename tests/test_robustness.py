@@ -17,7 +17,18 @@ from pathlib import Path
 
 import pytest
 
-from hypercover import format_hypergraph, parse_graph, parse_hypergraph, random_hypergraph
+from hypercover import (
+    Graph,
+    Hypergraph,
+    format_hypergraph,
+    greedy_cover,
+    greedy_transversal,
+    neighborhood_hypergraph,
+    parse_graph,
+    parse_hypergraph,
+    random_hypergraph,
+    strong_degeneracy,
+)
 from hypercover.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -376,6 +387,28 @@ def test_audit_of_a_tiny_edgeless_graph_is_fast(tmp_path, capsys):
     assert main(["audit", "--trials", "1", str(path)]) == 0
     assert time.process_time() - start < 5
     assert "degree_bound_failures: 0" in capsys.readouterr().out
+
+
+def test_strong_peel_of_two_hubs_sharing_every_leaf_is_fast():
+    # Each leaf deletion shrinks both hubs' neighborhoods, of about 10^4
+    # members each: a re-check that walked every member of a shrunk trace
+    # took about 7 s of CPU time on these closed neighborhoods of K_{2,10000}.
+    g = Graph.from_edges(10002, [(hub, leaf) for hub in (0, 1) for leaf in range(2, 10002)])
+    h = neighborhood_hypergraph(g)
+    start = time.process_time()
+    strong_degeneracy(h)
+    assert time.process_time() - start < 3
+
+
+@pytest.mark.parametrize("solve", [strong_degeneracy, greedy_cover, greedy_transversal])
+def test_a_sunflower_with_a_two_vertex_kernel_is_fast(solve):
+    # Every trace holds the kernel {0, 1}: a re-check that intersected the
+    # kernel's two rows however long they are would cost about 2 * 10^4
+    # per petal deleted.
+    h = Hypergraph(20002, tuple((0, 1, p) for p in range(2, 20002)))
+    start = time.process_time()
+    solve(h)
+    assert time.process_time() - start < 5
 
 
 def _readme_blocks(header: str) -> list[str]:
