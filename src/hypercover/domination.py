@@ -148,19 +148,30 @@ def _read_graph(text: str) -> tuple[int, list[tuple[int, int]]]:
     """The vertex count and 0-based edge list of a ``.gr`` text, checked as
     :func:`parse_graph` documents.  Costs O(len(text)) whatever ``n`` the
     header declares, so callers can reject a huge ``n`` before building the
-    one adjacency row per vertex that a :class:`Graph` holds."""
+    one adjacency row per vertex that a :class:`Graph` holds.
+
+    Endpoints are read as :func:`core._decimals` reads them, with the
+    common case inline: two tokens of ASCII digits go to ``int`` directly,
+    and only a token ``int`` refuses, past its digit limit, takes the slow
+    path that strips leading zeros or names the digit count."""
     lines = _data_lines(text)
     n, m = _read_header(lines, "edge")
     edges: list[tuple[int, int]] = []
     for lineno, tokens in lines:
         if tokens[0] != "e" or len(tokens) != 3:
             raise FormatError(f"line {lineno}: expected 'e <u> <v>'")
+        _, a, b = tokens
+        both = a + b
+        if not (both.isascii() and both.isdigit()):
+            raise FormatError(f"line {lineno}: endpoints must be written with the digits 0-9")
         try:
-            u, v = _decimals(tokens[1:])
+            u = int(a)
+            v = int(b)
         except ValueError:
-            raise FormatError(f"line {lineno}: endpoints must be written with the digits 0-9") from None
-        except OverflowError as exc:
-            raise VertexOutOfRangeError(f"line {lineno}: a vertex id of {exc} digits lies outside 1..{n}") from None
+            try:
+                u, v = _decimals([a, b])
+            except OverflowError as exc:
+                raise VertexOutOfRangeError(f"line {lineno}: a vertex id of {exc} digits lies outside 1..{n}") from None
         if not (1 <= u <= n and 1 <= v <= n):
             raise VertexOutOfRangeError(f"line {lineno}: vertex {v if 1 <= u <= n else u} outside 1..{n}")
         if u == v:
@@ -215,16 +226,28 @@ GRAPH_CHECK_KINDS = ("dominating", "total-dominating", "2-packing", "open-2-pack
 
 def check_graph(g: Graph, kind: str, ids: Iterable[int]) -> bool:
     """Validate a vertex set against the plain graph definition, without any
-    hypergraph machinery."""
+    hypergraph machinery.
+
+    A set dominates when the closed neighborhoods of its vertices together
+    hold every vertex, and totally dominates when the open ones do; each is
+    checked by one union, so the cost is the chosen vertices' degrees, not
+    a pass over all ``n`` rows.
+
+    Raises:
+        IdOutOfRangeError: the smallest id outside ``0..n-1``, before any
+            other check.
+        ParameterError: an unknown ``kind``.
+    """
     chosen = sorted(set(ids))
     for x in chosen:
         if not 0 <= x < g.n:
             raise IdOutOfRangeError("vertex id {} outside {}..{}", x, 0, g.n - 1)
-    picked = set(chosen)
-    if kind == "dominating":
-        return all(v in picked or picked.intersection(g.adj[v]) for v in range(g.n))
-    if kind == "total-dominating":
-        return all(picked.intersection(g.adj[v]) for v in range(g.n))
+    if kind in ("dominating", "total-dominating"):
+        # Every id and neighbour lies in 0..n-1, so a union of n ids is V.
+        covered = set(chosen) if kind == "dominating" else set()
+        for x in chosen:
+            covered.update(g.adj[x])
+        return len(covered) == g.n
     if kind in ("2-packing", "open-2-packing"):
         closed = kind == "2-packing"
         # Neighborhoods are pairwise disjoint iff no vertex lies in two of
@@ -287,6 +310,13 @@ def tree_domination(g: Graph, kind: str = "closed") -> DominationCertificate:
     is the generic greedy's (dominators are the cover edges' smallest
     generators, in step order).
 
+    Leaf rule: a leaf ``x`` with neighbour ``p`` has strong degree 1 from
+    the start, and its one maximal trace is always the live part of ``p``'s
+    neighborhood.  Proof: ``x`` lies in ``p``'s neighborhood alone (open),
+    or also in ``N[x] = {x, p}``, which lies inside ``N[p]`` (closed), so
+    their live parts nest too.  So leaves are queued without a scan, and a
+    popped leaf's trace is read off ``p``.
+
     Raises:
         NotATreeError: the graph is not connected with ``n - 1`` edges.
         SingleVertexOpenError: ``kind="open"`` on a one-vertex tree.
@@ -301,7 +331,8 @@ def tree_domination(g: Graph, kind: str = "closed") -> DominationCertificate:
 
     # gens[v]: the vertices whose neighborhood holds v, which is v's own
     # neighborhood; hood[u]: the live part of u's, kept for dead u too.
-    gens = [(v, *row) for v, row in enumerate(g.adj)] if kind == "closed" else g.adj
+    adj = g.adj
+    gens = [(v, *row) for v, row in enumerate(adj)] if kind == "closed" else adj
     hood = [set(row) for row in gens]
     live = [True] * g.n
     remaining = g.n
@@ -321,7 +352,7 @@ def tree_domination(g: Graph, kind: str = "closed") -> DominationCertificate:
     # present (dead ones are skipped on pop), so popping yields the smallest
     # one.  A trace inside another stays inside it as both shrink, so strong
     # degrees never rise and a vertex, once queued, needs no second look.
-    ready = [v for v in range(g.n) if sole_trace(v) is not None]
+    ready = [v for v, row in enumerate(adj) if len(row) == 1 or sole_trace(v) is not None]
     queued = [False] * g.n
     for v in ready:
         queued[v] = True
@@ -331,7 +362,8 @@ def tree_domination(g: Graph, kind: str = "closed") -> DominationCertificate:
         while ready and trace is None:
             x = heappop(ready)
             if live[x]:
-                trace = sole_trace(x)
+                # The leaf rule (see the docstring) needs no scan.
+                trace = hood[adj[x][0]] if len(adj[x]) == 1 else sole_trace(x)
         if trace is None:
             raise CertificateError("no strong-degree-1 vertex in a tree restriction")
         # Edge ids follow first-generator order, so the trace's smallest

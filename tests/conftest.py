@@ -25,7 +25,7 @@ from hypercover import (
     strong_degree,
     strong_remove,
 )
-from hypercover.errors import HypercoverError
+from hypercover.errors import HypercoverError, IdOutOfRangeError, ParameterError
 from hypercover.oracles import _TABLE, _masks
 
 # Subprocesses (``python -m hypercover``, the demos) import this checkout's
@@ -112,6 +112,25 @@ def text_of(tag: str, n: int, edges) -> str:
     lines in list order and ids in edge order, 1-based."""
     lines = [f"p {tag} {n} {len(edges)}", *("e " + " ".join(str(v + 1) for v in e) for e in edges)]
     return "\n".join(lines) + "\n"
+
+
+def check_graph_ref(g, kind, ids):
+    """``check_graph`` vertex by vertex, from the definitions: each vertex
+    meets the chosen set in its closed (dominating) or open
+    (total-dominating) neighborhood, or in at most one vertex of it
+    (2-packing, open 2-packing).  The smallest id outside ``0..n-1`` is
+    reported first, then an unknown kind."""
+    outside = [x for x in ids if not 0 <= x < g.n]
+    if outside:
+        raise IdOutOfRangeError("vertex id {} outside {}..{}", min(outside), 0, g.n - 1)
+    chosen = set(ids)
+    closed = kind in ("dominating", "2-packing")
+    met = [len(chosen & {*g.adj[v], *([v] if closed else [])}) for v in range(g.n)]
+    if kind in ("dominating", "total-dominating"):
+        return all(c >= 1 for c in met)
+    if kind in ("2-packing", "open-2-packing"):
+        return all(c <= 1 for c in met)
+    raise ParameterError(f"unknown graph check kind {kind!r}")
 
 
 def plain_degeneracy_bf(h):

@@ -4,6 +4,7 @@ equivalence audit.
 
 from __future__ import annotations
 
+import random
 import warnings
 from functools import partial
 
@@ -23,13 +24,15 @@ from hypercover import (
     neighborhood_hypergraph,
     parse_graph,
     path_graph,
+    prufer_decode,
     star_graph,
     strong_degeneracy,
     tree_domination,
 )
 from hypercover.degeneracy import _peel
-from hypercover.domination import _neighborhoods
+from hypercover.domination import GRAPH_CHECK_KINDS, NEIGHBORHOOD_KINDS, _neighborhoods
 from hypercover.errors import (
+    CertificateError,
     FormatError,
     FormatWarning,
     IdOutOfRangeError,
@@ -44,6 +47,7 @@ from conftest import (
     LONG_ID,
     MALFORMED_HEADERS,
     check_fully_checked,
+    check_graph_ref,
     check_outcome,
     graphs,
     messy_inputs,
@@ -60,6 +64,48 @@ def assert_generic_agrees(t, kind, cert):
     order, taken = _peel(h, strong=True, strong_removal=True)
     assert cert.packing == order.order
     assert cert.dominating == tuple(generators[i][0] for i in taken)
+
+
+def check_tree_domination(t, kind):
+    """The tree solver's certificate for ``t``, which must be the generic
+    greedy's; a run that fails its own self-check fails here too."""
+    try:
+        cert = tree_domination(t, kind)
+    except CertificateError as exc:
+        raise AssertionError(f"{t.adj}, {kind}: {exc}") from None
+    assert_generic_agrees(t, kind, cert)
+    return cert
+
+
+# Small trees for the leaf rule, which reads a leaf's trace off its
+# neighbour: leaves numbered below and above their neighbours, next to inner
+# vertices of degree 2 and more.
+TREE_EXAMPLES = {
+    "P1": path_graph(1),
+    "P2": path_graph(2),
+    "P3": path_graph(3),
+    "P4": path_graph(4),
+    "star-hub-first": star_graph(4, center=0),
+    "star-hub-last": star_graph(4, center=4),
+    "double-star": Graph.from_edges(7, [(3, 5), (3, 0), (3, 6), (5, 1), (5, 4), (5, 2)]),
+    "caterpillar": Graph.from_edges(10, [(1, 4), (4, 7), (7, 2), (1, 0), (1, 9), (4, 3), (7, 5), (7, 8), (2, 6)]),
+}
+
+EXAMPLE_KINDS = [(name, kind) for kind in NEIGHBORHOOD_KINDS for name in TREE_EXAMPLES if name != "P1" or kind == "closed"]
+
+
+def tree_cases(count: int = 200, seed: int = 22):
+    """(tree, kind) for each example tree in both kinds (one vertex has no
+    open neighborhood), then ``count`` seeded random trees of 2 to 14
+    vertices, every third with all but three vertices leaves."""
+    cases = [(TREE_EXAMPLES[name], kind) for name, kind in EXAMPLE_KINDS]
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(2, 14)
+        names = min(3, n) if i % 3 == 0 else n
+        t = prufer_decode(tuple(rng.randrange(names) for _ in range(n - 2)), n)
+        cases.append((t, rng.choice(NEIGHBORHOOD_KINDS)))
+    return cases
 
 
 class TestGraph:
@@ -163,6 +209,52 @@ GRAPH_CONTRACT = {
     "4301-digit-id": (
         lambda: parse_graph(f"p edge 3 1\ne 1 {LONG_ID}\n"),
         ("VertexOutOfRangeError", "line 2: a vertex id of 4301 digits lies outside 1..3", []),
+    ),
+    "plus-sign-id": (
+        lambda: parse_graph("p edge 3 1\ne +1 2\n"),
+        ("FormatError", "line 2: endpoints must be written with the digits 0-9", []),
+    ),
+    "underscore-id": (
+        lambda: parse_graph("p edge 12 1\ne 1 1_0\n"),
+        ("FormatError", "line 2: endpoints must be written with the digits 0-9", []),
+    ),
+    "arabic-indic-digit-id": (
+        lambda: parse_graph("p edge 3 1\ne \u0663 2\n"),
+        ("FormatError", "line 2: endpoints must be written with the digits 0-9", []),
+    ),
+    "negative-id": (
+        lambda: parse_graph("p edge 3 1\ne -1 2\n"),
+        ("FormatError", "line 2: endpoints must be written with the digits 0-9", []),
+    ),
+    "leading-zeros": (
+        lambda: parse_graph("p edge 7 1\ne 007 2\n"),
+        (None, ((), (6,), (), (), (), (), (1,)), []),
+    ),
+    "5000-digit-first-endpoint": (
+        lambda: parse_graph(f"p edge 3 1\ne {'1' * 5000} 1\n"),
+        ("VertexOutOfRangeError", "line 2: a vertex id of 5000 digits lies outside 1..3", []),
+    ),
+    "5000-digit-second-endpoint": (
+        lambda: parse_graph(f"p edge 3 1\ne 1 {'1' * 5000}\n"),
+        ("VertexOutOfRangeError", "line 2: a vertex id of 5000 digits lies outside 1..3", []),
+    ),
+    # More digits than int() converts, but only one of them significant.
+    "5000-zeros-then-1": (
+        lambda: parse_graph(f"p edge 3 1\ne {'0' * 5000}1 2\n"),
+        (None, ((1,), (0,), ()), []),
+    ),
+    "tab-separated": (
+        lambda: parse_graph("p\tedge\t3\t2\ne\t1\t2\ne 2\t3\n"),
+        (None, ((1,), (0, 2), (1,)), []),
+    ),
+    "crlf-lines": (
+        lambda: parse_graph("p edge 3 2\r\ne 1 2\r\ne 2 3\r\n"),
+        (None, ((1,), (0, 2), (1,)), []),
+    ),
+    # A vertical tab ends a line as well as a token.
+    "vertical-tab-separator": (
+        lambda: parse_graph("p edge 3 2\ne\x0b1\x0b2\ne 2 3\n"),
+        ("FormatError", "line 2: expected 'e <u> <v>'", []),
     ),
     "repeated-edge": (
         lambda: parse_graph("p edge 3 2\ne 1 2\ne 2 1\n"),
@@ -316,6 +408,20 @@ class TestCheckGraph:
         with pytest.raises(ParameterError):
             check_graph(p5, "vertex-cover", [0])
 
+    @given(graphs(), st.data())
+    def test_matches_the_per_vertex_reference(self, g, data):
+        """Every kind, and an unknown one, on id lists with repeats and ids
+        on both sides of ``0..n-1``: the same answer or the same error."""
+        ids = data.draw(st.lists(st.integers(min_value=-2, max_value=g.n + 1), max_size=2 * g.n + 2))
+        for kind in (*GRAPH_CHECK_KINDS, "vertex-cover"):
+            answers = []
+            for fn in (check_graph, check_graph_ref):
+                try:
+                    answers.append(fn(g, kind, ids))
+                except (IdOutOfRangeError, ParameterError) as exc:
+                    answers.append((type(exc), str(exc)))
+            assert answers[0] == answers[1], (kind, ids)
+
 
 class TestTreeDomination:
     def test_path4_closed(self):
@@ -366,11 +472,14 @@ class TestTreeDomination:
         with pytest.raises(ParameterError):
             tree_domination(path_graph(3), kind="semi")
 
+    @pytest.mark.parametrize("name, kind", EXAMPLE_KINDS)
+    def test_examples_agree_with_the_generic_greedy(self, name, kind):
+        check_tree_domination(TREE_EXAMPLES[name], kind)
+
     @given(trees())
     @settings(max_examples=60)
     def test_closed_certificates(self, t):
-        cert = tree_domination(t)
-        assert_generic_agrees(t, "closed", cert)
+        cert = check_tree_domination(t, "closed")
         assert check_graph(t, "dominating", cert.dominating)
         assert check_graph(t, "2-packing", cert.packing)
         assert len(cert.dominating) == len(cert.packing)
@@ -379,8 +488,7 @@ class TestTreeDomination:
     @given(trees(min_n=2))
     @settings(max_examples=60)
     def test_open_certificates(self, t):
-        cert = tree_domination(t, kind="open")
-        assert_generic_agrees(t, "open", cert)
+        cert = check_tree_domination(t, "open")
         assert check_graph(t, "total-dominating", cert.dominating)
         assert check_graph(t, "open-2-packing", cert.packing)
         assert len(cert.dominating) == len(cert.packing)
@@ -390,7 +498,7 @@ class TestTreeDomination:
     @settings(max_examples=40)
     def test_hub_tree_certificates(self, kind, t):
         """Hubs share large neighborhoods, which uniform trees rarely build."""
-        assert_generic_agrees(t, kind, tree_domination(t, kind))
+        check_tree_domination(t, kind)
 
     @given(trees(max_n=9))
     @settings(max_examples=30)

@@ -17,7 +17,7 @@ import random
 import sys
 import textwrap
 
-from hypercover import Graph, gap_family, parse_hypergraph
+from hypercover import Graph, gap_family, parse_hypergraph, tree_domination
 from hypercover._trace_index import TraceIndex
 from hypercover.degeneracy import _best_restriction, _strong_core, _strong_degeneracy
 from hypercover.oracles import _search
@@ -216,6 +216,26 @@ def test_packing_bound_one_too_strict(monkeypatch):
     cases = [(x,) for x in test_oracles.EXACT_EXAMPLES.values()]
     assert not caught(check, cases)
     install(monkeypatch, _search, mutant(_search, "size + g - j <= bound", "size + g - j <= bound + 1"))
+    assert caught(check, cases)
+
+
+def test_tree_solver_that_takes_a_leaf_s_own_hood_as_its_trace(monkeypatch):
+    # P3 closed fails the solver's self-check.  The cases list the closed
+    # examples first: on an open leaf this mutant finds no dominator at all.
+    check = test_domination.check_tree_domination
+    cases = test_domination.tree_cases()
+    assert not caught(check, cases)
+    install(monkeypatch, tree_domination, mutant(tree_domination, "hood[adj[x][0]] if", "hood[x] if"))
+    assert caught(check, cases)
+
+
+def test_tree_solver_that_also_queues_vertices_of_degree_2_unchecked(monkeypatch):
+    # A degree-2 vertex popped before it has strong degree 1 is never queued
+    # again; only the seeded random trees order ids so that this matters.
+    check = test_domination.check_tree_domination
+    cases = test_domination.tree_cases()
+    assert not caught(check, cases)
+    install(monkeypatch, tree_domination, mutant(tree_domination, "len(row) == 1 or", "len(row) <= 2 or"))
     assert caught(check, cases)
 
 
