@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Hypergraph, _reject_isolated, check, dual
+from .core import Hypergraph, _reject_isolated, check
 from .degeneracy import _best_restriction, _peel, _strong_degeneracy
 from .errors import CertificateError
 
@@ -92,6 +92,25 @@ def greedy_cover(h: Hypergraph, mighty: bool = False) -> CoverCertificate:
         CertificateError: the run failed its own checks.
     """
     _reject_isolated(h)
+    cover, independent, per_step, bound, mighty_value, inequality = _greedy(h, mighty)
+    checks = CoverChecks(
+        cover_valid=check(h, "edge-cover", cover),
+        independent_valid=check(h, "independent-set", independent),
+        inequality_holds=inequality,
+    )
+    if not (checks.cover_valid and checks.independent_valid and checks.inequality_holds):
+        raise CertificateError(f"greedy cover failed its self-check: {checks}")
+    return CoverCertificate(cover, independent, per_step, bound, mighty_value, checks)
+
+
+def _greedy(
+    h: Hypergraph, mighty: bool = False
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int, int | None, bool]:
+    """One greedy run on ``h``, whose every vertex lies in an edge: the
+    ascending cover, the independent set, the step sizes, the strong
+    degeneracy, the mighty value (``None`` unless requested and affordable),
+    and whether the inequality holds for each factor.  The cover and the
+    independent set are left for the caller to check."""
     bound, maximal = _strong_degeneracy(h)
     steps, cover_ids = _peel(h, strong=True, strong_removal=True, maximal=maximal)
     if len(set(cover_ids)) != len(cover_ids):
@@ -103,36 +122,35 @@ def greedy_cover(h: Hypergraph, mighty: bool = False) -> CoverCertificate:
     inequality = len(cover) <= total <= bound * len(independent)
     if mighty_value is not None:
         inequality = inequality and total <= mighty_value * len(independent)
-    checks = CoverChecks(
-        cover_valid=check(h, "edge-cover", cover),
-        independent_valid=check(h, "independent-set", independent),
-        inequality_holds=inequality,
-    )
-    if not (checks.cover_valid and checks.independent_valid and checks.inequality_holds):
-        raise CertificateError(f"greedy cover failed its self-check: {checks}")
-    return CoverCertificate(cover, independent, per_step, bound, mighty_value, checks)
+    return cover, independent, per_step, bound, mighty_value, inequality
 
 
 def greedy_transversal(h: Hypergraph) -> TransversalCertificate:
     """Greedy cover of the dual, mapped back: a transversal of ``h`` plus a
     matching in ``h`` within a factor of each other.
 
+    The dual is built without its labels, and its cover and independent set
+    are checked once, as the transversal and the matching of ``h``.
+
     Raises:
         IsolatedVertexError: some vertex lies in no edge (the dual would
             need an empty edge).
         CertificateError: the run failed its own checks.
     """
-    cert = greedy_cover(dual(h))
+    _reject_isolated(h)
+    edges, generators = h._incidence_classes
+    # The dual as core.dual builds it, less the labels; every edge of h is
+    # nonempty, so every dual vertex lies in a dual edge.
+    cover, matching, per_step, bound, _, inequality = _greedy(Hypergraph._unchecked(h.m, edges))
     # Each chosen dual edge maps back to its smallest generator.  These
     # ascend with the dual edge id, so the transversal stays sorted, and the
     # map is one-to-one, so the dual run's inequality is this run's too.
-    generators = h._incidence_classes[1]
-    transversal = tuple(generators[i][0] for i in cert.cover)
+    transversal = tuple(generators[i][0] for i in cover)
     checks = TransversalChecks(
         transversal_valid=check(h, "transversal", transversal),
-        matching_valid=check(h, "matching", cert.independent),
-        inequality_holds=cert.checks.inequality_holds,
+        matching_valid=check(h, "matching", matching),
+        inequality_holds=inequality,
     )
     if not (checks.transversal_valid and checks.matching_valid and checks.inequality_holds):
         raise CertificateError(f"greedy transversal failed its self-check: {checks}")
-    return TransversalCertificate(transversal, cert.independent, cert.per_step_edges, cert.bound_factor, checks)
+    return TransversalCertificate(transversal, matching, per_step, bound, checks)

@@ -22,7 +22,7 @@ import random
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Iterable
 
 from .core import (
@@ -286,15 +286,17 @@ class DominationCertificate:
 def _is_tree(g: Graph) -> bool:
     if g.n == 0 or g.m != g.n - 1:
         return False
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
+    # With n - 1 edges, a graph is a tree exactly when it is connected; the
+    # loop runs on over the vertices it appends.
+    seen = [False] * g.n
+    seen[0] = True
+    reached = [0]
+    for v in reached:
         for u in g.adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == g.n
+            if not seen[u]:
+                seen[u] = True
+                reached.append(u)
+    return len(reached) == g.n
 
 
 def tree_domination(g: Graph, kind: str = "closed") -> DominationCertificate:
@@ -303,19 +305,35 @@ def tree_domination(g: Graph, kind: str = "closed") -> DominationCertificate:
     This is the greedy cover of the neighborhood hypergraph, run on live
     neighborhoods.  A live ``x`` lies in ``u``'s neighborhood exactly when
     ``u`` lies in ``x``'s, so the traces through ``x`` are the live parts of
-    the neighborhoods of ``x``'s own generators, and ``x`` has strong degree
-    1 exactly when the largest of them holds all the others.  Each step takes
-    the smallest such ``x`` into the packing, the smallest generator of its
-    trace into the dominating set, and removes the trace.  The certificate
-    is the generic greedy's (dominators are the cover edges' smallest
-    generators, in step order).
+    the neighborhoods of ``x``'s own generators.  Each step takes the
+    smallest ``x`` of strong degree 1 into the packing, the smallest
+    generator of its one maximal trace into the dominating set, and removes
+    the trace.  The certificate is the generic greedy's (dominators are the
+    cover edges' smallest generators, in step order).
 
-    Leaf rule: a leaf ``x`` with neighbour ``p`` has strong degree 1 from
-    the start, and its one maximal trace is always the live part of ``p``'s
-    neighborhood.  Proof: ``x`` lies in ``p``'s neighborhood alone (open),
-    or also in ``N[x] = {x, p}``, which lies inside ``N[p]`` (closed), so
-    their live parts nest too.  So leaves are queued without a scan, and a
-    popped leaf's trace is read off ``p``.
+    The test for strong degree 1 is three counters per vertex: ``ln[v]``,
+    the live neighbours of ``v``, with ``v`` *big* when ``ln[v] >= 2``;
+    ``bad[x]``, the big neighbours of ``x``, dead or live (a dead one still
+    generates a trace); and ``lbad[x]``, the live big ones.  In a tree two
+    distinct neighbours ``u``, ``u'`` of ``x`` share only ``x``, and
+    ``N[x]`` meets ``N[u]`` in ``{x, u}``.  So the trace of a neighbour
+    ``u`` lies inside another neighbour's only when it is ``{x}``, and
+    inside ``x``'s own closed trace exactly when ``u`` is not big.  Hence a
+    live ``x`` has strong degree 1 exactly when
+
+    - open: ``bad[x] <= 1``, since a neighbour that is not big has the
+      trace ``{x}``, which lies in every other;
+    - closed: ``bad[x] == 0``, when ``x``'s own trace holds every other, or
+      ``bad[x] == 1`` and every live neighbour of ``x`` is big: then the big
+      neighbour's trace holds ``x``'s, and every other neighbour is dead
+      with the trace ``{x}``.
+
+    Every trace through ``x`` then nests inside the largest, so equal live
+    size means equal set: the trace is the largest, and its dominator the
+    smallest generator of that size.  A trace nested in another stays so as
+    both shrink, so strong degrees never rise, and only a vertex whose
+    counters changed needs a new test.  Each vertex stops being big once
+    and generates at most one trace, so the run costs O(n).
 
     Raises:
         NotATreeError: the graph is not connected with ``n - 1`` edges.
@@ -329,60 +347,71 @@ def tree_domination(g: Graph, kind: str = "closed") -> DominationCertificate:
     if g.n == 1 and kind == "open":
         raise SingleVertexOpenError("a single vertex has no open neighborhood")
 
-    # gens[v]: the vertices whose neighborhood holds v, which is v's own
-    # neighborhood; hood[u]: the live part of u's, kept for dead u too.
     adj = g.adj
-    gens = [(v, *row) for v, row in enumerate(adj)] if kind == "closed" else adj
-    hood = [set(row) for row in gens]
+    closed = kind == "closed"
     live = [True] * g.n
+    ln = [len(row) for row in adj]
+    # At the start every vertex is live, so the neighbours that are not big
+    # are the leaves.
+    bad = ln[:]
+    for row in adj:
+        if len(row) == 1:
+            bad[row[0]] -= 1
+    lbad = bad[:]
     remaining = g.n
     dominating: list[int] = []
     packing: list[int] = []
 
-    def sole_trace(x: int) -> set[int] | None:
-        """The maximal trace through live ``x`` if it is the only one."""
-        traces = [hood[u] for u in gens[x]]
-        top = max(traces, key=len)
-        # max returns the first largest, so this drops top itself, which
-        # top.issuperset would walk in full.
-        traces.remove(top)
-        return top if all(map(top.issuperset, traces)) else None
-
     # Lazy heap of candidate ids: every live vertex of strong degree 1 is
     # present (dead ones are skipped on pop), so popping yields the smallest
-    # one.  A trace inside another stays inside it as both shrink, so strong
-    # degrees never rise and a vertex, once queued, needs no second look.
-    ready = [v for v, row in enumerate(adj) if len(row) == 1 or sole_trace(v) is not None]
+    # one.  Strong degrees never rise, so a queued vertex needs no second look.
+    ready: list[int] = []
     queued = [False] * g.n
-    for v in ready:
-        queued[v] = True
-    heapify(ready)
-    while remaining:
-        trace = None
-        while ready and trace is None:
-            x = heappop(ready)
-            if live[x]:
-                # The leaf rule (see the docstring) needs no scan.
-                trace = hood[adj[x][0]] if len(adj[x]) == 1 else sole_trace(x)
-        if trace is None:
+    touched: Iterable[int] = range(g.n)
+    while True:
+        for y in touched:
+            if live[y] and not queued[y] and (
+                (bad[y] == 0 or bad[y] == 1 and ln[y] == lbad[y]) if closed else bad[y] <= 1
+            ):
+                queued[y] = True
+                heappush(ready, y)
+        if not remaining:
+            break
+        while ready and not live[ready[0]]:
+            heappop(ready)
+        if not ready:
             raise CertificateError("no strong-degree-1 vertex in a tree restriction")
-        # Edge ids follow first-generator order, so the trace's smallest
-        # generator names the hypergraph greedy's representative.
+        x = heappop(ready)
+        # The largest live neighborhood through x, and its smallest generator
+        # (edge ids follow first-generator order, so it names the hypergraph
+        # greedy's representative).
+        dom, size = (x, ln[x] + 1) if closed else (-1, 0)
+        for u in adj[x]:
+            s = ln[u] + live[u] if closed else ln[u]
+            if s > size or s == size and u < dom:
+                dom, size = u, s
         packing.append(x)
-        dominating.append(min(u for u in gens[x] if hood[u] == trace))
-        shrunk = set()
-        for w in list(trace):
+        dominating.append(dom)
+        trace = [v for v in adj[dom] if live[v]]
+        if closed and live[dom]:
+            trace.append(dom)
+        touched = []
+        for w in trace:
             live[w] = False
             remaining -= 1
-            for u in gens[w]:
-                hood[u].discard(w)
-            shrunk.update(gens[w])
-        # Only a vertex in a shrunk hood can change its strong degree.
-        for u in shrunk:
-            for y in hood[u]:
-                if not queued[y] and sole_trace(y) is not None:
-                    queued[y] = True
-                    heappush(ready, y)
+            big = ln[w] >= 2
+            for v in adj[w]:
+                if big:
+                    lbad[v] -= 1
+                ln[v] -= 1
+                if ln[v] == 1:
+                    # v stops being big.
+                    for y in adj[v]:
+                        bad[y] -= 1
+                        if live[v]:
+                            lbad[y] -= 1
+                    touched.extend(adj[v])
+            touched.extend(adj[w])
 
     if len(set(dominating)) != len(dominating):
         raise CertificateError("a dominator was selected twice")

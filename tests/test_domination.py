@@ -77,9 +77,9 @@ def check_tree_domination(t, kind):
     return cert
 
 
-# Small trees for the leaf rule, which reads a leaf's trace off its
-# neighbour: leaves numbered below and above their neighbours, next to inner
-# vertices of degree 2 and more.
+# Small trees for the counter test, whose cases turn on how many neighbours
+# are big (have two or more live neighbours): leaves numbered below and above
+# their neighbours, next to inner vertices of degree 2 and more.
 TREE_EXAMPLES = {
     "P1": path_graph(1),
     "P2": path_graph(2),
@@ -106,6 +106,29 @@ def tree_cases(count: int = 200, seed: int = 22):
         t = prufer_decode(tuple(rng.randrange(names) for _ in range(n - 2)), n)
         cases.append((t, rng.choice(NEIGHBORHOOD_KINDS)))
     return cases
+
+
+def equivalence_corpus(count: int = 1000, seed: int = 23):
+    """``count`` seeded (tree, kind) cases of 2 to 300 vertices, most below
+    60, in three shapes taken in turn: Pruefer trees, every other one over
+    at most four hubs; caterpillars; and random recursive trees.  The last
+    two get shuffled ids, so that id order and shape are independent."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(2, 300 if i % 20 == 0 else 60)
+        shape = i % 3
+        if shape == 0:
+            names = min(rng.randint(1, 4), n) if i % 2 else n
+            t = prufer_decode(tuple(rng.randrange(names) for _ in range(n - 2)), n)
+        else:
+            # A caterpillar's spine 0..spine-1 is a path, and every later
+            # vertex hangs off a spine vertex; a recursive tree hangs each
+            # vertex off any earlier one.
+            spine = rng.randint(1, n) if shape == 1 else 0
+            parents = [j - 1 if j < spine else rng.randrange(spine or j) for j in range(1, n)]
+            ids = rng.sample(range(n), n)
+            t = Graph.from_edges(n, [(ids[p], ids[j]) for j, p in enumerate(parents, 1)])
+        yield t, rng.choice(NEIGHBORHOOD_KINDS)
 
 
 class TestGraph:
@@ -475,6 +498,10 @@ class TestTreeDomination:
     @pytest.mark.parametrize("name, kind", EXAMPLE_KINDS)
     def test_examples_agree_with_the_generic_greedy(self, name, kind):
         check_tree_domination(TREE_EXAMPLES[name], kind)
+
+    def test_equivalence_corpus_agrees_with_the_generic_greedy(self):
+        for t, kind in equivalence_corpus():
+            check_tree_domination(t, kind)
 
     @given(trees())
     @settings(max_examples=60)

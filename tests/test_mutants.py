@@ -219,24 +219,30 @@ def test_packing_bound_one_too_strict(monkeypatch):
     assert caught(check, cases)
 
 
-def test_tree_solver_that_takes_a_leaf_s_own_hood_as_its_trace(monkeypatch):
-    # P3 closed fails the solver's self-check.  The cases list the closed
-    # examples first: on an open leaf this mutant finds no dominator at all.
+def tree_solver_mutant_is_caught(monkeypatch, old: str, new: str) -> None:
     check = test_domination.check_tree_domination
     cases = test_domination.tree_cases()
     assert not caught(check, cases)
-    install(monkeypatch, tree_domination, mutant(tree_domination, "hood[adj[x][0]] if", "hood[x] if"))
+    install(monkeypatch, tree_domination, mutant(tree_domination, old, new))
     assert caught(check, cases)
 
 
-def test_tree_solver_that_also_queues_vertices_of_degree_2_unchecked(monkeypatch):
-    # A degree-2 vertex popped before it has strong degree 1 is never queued
-    # again; only the seeded random trees order ids so that this matters.
-    check = test_domination.check_tree_domination
-    cases = test_domination.tree_cases()
-    assert not caught(check, cases)
-    install(monkeypatch, tree_domination, mutant(tree_domination, "len(row) == 1 or", "len(row) <= 2 or"))
-    assert caught(check, cases)
+def test_tree_solver_whose_closed_test_ignores_live_neighbours_that_are_not_big(monkeypatch):
+    # With one big neighbour b, x's own trace lies inside b's only once every
+    # other neighbour of x is dead.
+    tree_solver_mutant_is_caught(monkeypatch, " and ln[y] == lbad[y]", "")
+
+
+def test_tree_solver_that_keeps_counting_a_dead_big_neighbour_as_live(monkeypatch):
+    tree_solver_mutant_is_caught(monkeypatch, "lbad[v] -= 1", "pass")
+
+
+def test_tree_solver_that_keeps_counting_a_live_neighbour_as_big_once_it_is_not(monkeypatch):
+    tree_solver_mutant_is_caught(monkeypatch, "lbad[y] -= 1", "pass")
+
+
+def test_tree_solver_whose_open_test_allows_two_big_neighbours(monkeypatch):
+    tree_solver_mutant_is_caught(monkeypatch, "bad[y] <= 1", "bad[y] <= 2")
 
 
 def test_graph_from_edges_without_its_self_loop_check(monkeypatch):

@@ -27,7 +27,9 @@ from hypercover import (
     parse_graph,
     parse_hypergraph,
     random_hypergraph,
+    random_tree,
     strong_degeneracy,
+    tree_domination,
 )
 from hypercover.cli import build_parser, main
 
@@ -409,6 +411,17 @@ def test_a_sunflower_with_a_two_vertex_kernel_is_fast(solve):
     start = time.process_time()
     solve(h)
     assert time.process_time() - start < 5
+
+
+def test_tree_domination_of_a_large_random_tree_is_fast():
+    # Re-testing strong degree 1 by counters costs O(n), about 0.6 s of CPU
+    # time for both kinds on this tree (CPython 3.11, 2-core VM): the bound
+    # catches a re-test that grows faster than the tree.
+    t = random_tree(100000, 42)
+    start = time.process_time()
+    for kind in ("closed", "open"):
+        tree_domination(t, kind)
+    assert time.process_time() - start < 3
 
 
 def _readme_blocks(header: str) -> list[str]:
