@@ -84,15 +84,62 @@ def _zero_based(ids: list[int]) -> list[int]:
 
 _CHUNK = 4096
 
+# One encoder for the scalars, which indentation leaves as they are.
+_SCALAR = json.JSONEncoder().encode
+
+
+def _write_json(write, value: Any, pad: str) -> None:
+    """Write ``value`` as ``json.JSONEncoder(indent=2, default=list)`` encodes
+    it at indentation ``pad``.  That encoder runs in pure Python whenever it
+    indents, one call per id; here a run of plain ints is joined in C, at
+    most ``_CHUNK`` of them at a time, so no string holds a whole long list."""
+    if isinstance(value, dict):
+        if not value:
+            write("{}")
+            return
+        inner = pad + "  "
+        lead = "{\n" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                if not isinstance(key, (int, float)) and key is not None:
+                    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+                key = _SCALAR(key)
+            write(lead + _SCALAR(key) + ": ")
+            _write_json(write, item, inner)
+            lead = ",\n" + inner
+        write("\n" + pad + "}")
+        return
+    if isinstance(value, (str, int, float)) or value is None:
+        write(_SCALAR(value))
+        return
+    # A list or tuple, or anything else that default=list turns into one.
+    items = iter(value)
+    chunk = list(islice(items, _CHUNK))
+    if not chunk:
+        write("[]")
+        return
+    inner = pad + "  "
+    sep = ",\n" + inner
+    lead = "[\n" + inner
+    while chunk:
+        if {*map(type, chunk)} == {int}:  # no bool, which prints true or false
+            write(lead + sep.join(map(str, chunk)))
+        else:
+            for item in chunk:
+                write(lead)
+                _write_json(write, item, inner)
+                lead = sep
+        lead = sep
+        chunk = list(islice(items, _CHUNK))
+    write("\n" + pad + "]")
+
 
 def _emit(payload: dict[str, Any], as_json: bool) -> None:
     write = sys.stdout.write
     if as_json:
-        # json.dumps' text a chunk at a time: as one string it would hold the
-        # whole document, and one write per piece cost about 40% more CPU.
-        pieces = json.JSONEncoder(indent=2, default=list).iterencode(payload)
-        while chunk := "".join(islice(pieces, _CHUNK)):
-            write(chunk)
+        # json.dumps(payload, indent=2, default=list) + "\n", written a piece
+        # at a time and without the encoder's per-id Python calls.
+        _write_json(write, payload, "")
         write("\n")
         return
     for key, value in payload.items():

@@ -441,6 +441,10 @@ def vc_dimension(h: HypergraphLike) -> tuple[int, ShatterWitness]:
     raise AssertionError("unreachable: the empty set is shattered whenever edges exist")
 
 
+_FIRST = operator.itemgetter(0)
+_LAST = operator.itemgetter(-1)
+
+
 def _data_lines(text: str) -> Iterator[tuple[int, list[str]]]:
     """Line number and tokens of every line that is neither blank nor a
     comment (``#...`` or a DIMACS ``c`` line)."""
@@ -499,15 +503,49 @@ def _check_edge_count(announced: int, found: int) -> None:
         raise FormatError(f"header announced {announced} edges but {found} appeared")
 
 
-def parse_hypergraph(text: str, strict: bool = True) -> Hypergraph:
-    """Read the ``.hg`` text format.
+def _read_bulk(text: str) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
+    """The vertex count and edges of ``text`` when it is the header line
+    ``p hg <n> <m>`` and ``m`` lines ``e <v1> ... <vk>`` of ASCII digits
+    and single spaces, each id in 1..n and none repeated in its line;
+    ``None`` for any other text, which :func:`_read_lines` then reads: a
+    comment, a tab, CRLF, a blank or empty line, an id too long to convert,
+    out of range or repeated, a wrong count.  So every warning and error of
+    that reader comes from it alone."""
+    header, sep, body = text.partition("\ne ")
+    tokens = header.split(" ")
+    if len(tokens) != 4 or tokens[0] != "p" or tokens[1] != "hg" or not sep:
+        return None
+    # 1 to 18 digits each: below sys.maxsize, the bound of a count.
+    if not all(count.isascii() and count.isdigit() and len(count) <= 18 for count in tokens[2:]):
+        return None
+    n, m = int(tokens[2]), int(tokens[3])
+    if body.endswith("\n"):
+        body = body[:-1]
+    # Digits and single spaces alone, once the line breaks and tags are out:
+    # deleting those bytes leaves nothing.
+    flat = body.replace("\ne ", " ")
+    if not (flat and flat.isascii()) or flat.encode().translate(None, b"0123456789 "):
+        return None
+    if "  " in flat or flat[0] == " " or flat[-1] == " ":
+        return None
+    lines = body.split("\ne ")
+    if len(lines) != m:
+        return None
+    try:
+        edges = tuple([tuple(sorted({int(v) - 1 for v in line.split(" ")})) for line in lines])
+    except ValueError:
+        return None  # an id past int's digit limit
+    # Sorted edges: their ends bound the ids, and their sizes add up to the
+    # number of ids only when no line repeats one.
+    if sum(map(len, edges)) != flat.count(" ") + 1 or min(map(_FIRST, edges)) < 0 or max(map(_LAST, edges)) >= n:
+        return None
+    return n, edges
 
-    Raises:
-        FormatError: malformed header or line grammar.
-        EmptyEdgeError: an ``e`` line without vertices.
-        VertexOutOfRangeError: a vertex id outside ``1..n``.
-        DuplicateEdgeError: a repeated edge in strict mode; lenient mode
-            merges repeats and emits a :class:`FormatWarning`.
+
+def _read_lines(text: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The vertex count and edges of any ``.hg`` text, read line by line.
+
+    Raises and warns as :func:`parse_hypergraph` documents, naming the line.
     """
     lines = _data_lines(text)
     n, m = _read_header(lines, "hg")
@@ -529,13 +567,33 @@ def parse_hypergraph(text: str, strict: bool = True) -> Hypergraph:
             v = next(v for v in ids if not 1 <= v <= n)
             raise VertexOutOfRangeError(f"line {lineno}: vertex {v} outside 1..{n}")
         if len(edge) != len(ids):
-            warnings.warn(f"line {lineno}: repeated vertex inside an edge", FormatWarning, stacklevel=2)
+            warnings.warn(f"line {lineno}: repeated vertex inside an edge", FormatWarning, stacklevel=3)
         edges.append(edge)
     _check_edge_count(m, len(edges))
-    found = tuple(edges)
+    return n, tuple(edges)
+
+
+def parse_hypergraph(text: str, strict: bool = True) -> Hypergraph:
+    """Read the ``.hg`` text format.
+
+    A text of the header and ``e`` lines alone, as :func:`format_hypergraph`
+    writes it, is read in bulk (:func:`_read_bulk`).  Any other text goes to
+    the per-line reader, :func:`_read_lines`, which reports every fault of
+    the header or a line, with its line number: the bulk reader raises and
+    warns nothing.  The rule on duplicate edges, which names no line, is
+    applied here after either reader.
+
+    Raises:
+        FormatError: malformed header or line grammar.
+        EmptyEdgeError: an ``e`` line without vertices.
+        VertexOutOfRangeError: a vertex id outside ``1..n``.
+        DuplicateEdgeError: a repeated edge in strict mode; lenient mode
+            merges repeats and emits a :class:`FormatWarning`.
+    """
+    n, found = _read_bulk(text) or _read_lines(text)
     unique = _distinct(found, strict)
-    # Every edge passed its checks above; the full check names a strict
-    # repeat.
+    # Every edge passed its checks in the reader; the full check names a
+    # strict repeat.
     return Hypergraph(n, found) if unique is None else Hypergraph._unchecked(n, unique)
 
 

@@ -4,7 +4,8 @@ vertex, or strong removal, deleting it with all vertices of its edges.
 ``_peel``, the one peeling engine, pops a vertex of minimum degree (smallest
 id on ties) and applies the move until none is left: ``strong_degeneracy``
 (maximal traces through the vertex) and ``degeneracy`` (distinct traces)
-delete it, the greedy cover strongly removes it.  ``_best_restriction``,
+delete it, in one loop inside the index (``TraceIndex.peel``), and the
+greedy cover strongly removes it.  ``_best_restriction``,
 the one exhaustive search, maximises the minimum strong degree over the
 restrictions strong removal reaches: what is left after removing a union
 of closed neighborhoods N[v] = {v} plus every edge through v
@@ -81,17 +82,19 @@ def _peel(
         local = {v: i for i, v in enumerate(ids)}
         h = Hypergraph._unchecked(len(ids), tuple(tuple(local[v] for v in e) for e in h.edges))
     index = TraceIndex(h, strong=strong, maximal=maximal)
+    if not strong_removal:
+        popped, degrees = index.peel()
+        order += map(ids.__getitem__, popped)
+        return EliminationOrder(tuple(order), (*values, *degrees)), []
     taken: list[int] = []
     while (entry := index.pop_min()) is not None:
         d, x = entry
         order.append(ids[x])
         values.append(d)
-        gone: tuple[int] | set[int] = (x,)  # a tuple unpacks faster than a set
-        if strong_removal:
-            gone = {x}
-            for rep, trace in index.maximal_traces_at(x):
-                taken.append(rep)
-                gone |= trace
+        gone = {x}
+        for rep, trace in index.maximal_traces_at(x):
+            taken.append(rep)
+            gone |= trace
         index.delete_vertex(*gone)
     return EliminationOrder(tuple(order), tuple(values)), taken
 

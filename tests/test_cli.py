@@ -1,4 +1,5 @@
-"""End-to-end command line checks through real subprocesses.
+"""End-to-end command line checks through real subprocesses, and the
+``--json`` writer against ``json.dumps`` in process.
 
 Exit status contract: 0 success, 1 domain error (with an ``error:`` line
 on stderr), 2 usage error.
@@ -6,11 +7,18 @@ on stderr), 2 usage error.
 
 from __future__ import annotations
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from hypercover import cli, format_graph, format_hypergraph, gap_family, random_hypergraph, random_tree
 
 GAP5 = "p hg 5 5\ne 1 2\ne 1 3 4 5\ne 2 4 5\ne 2 3 5\ne 2 3 4\n"
 P4 = "p edge 4 3\ne 1 2\ne 2 3\ne 3 4\n"
@@ -296,3 +304,90 @@ class TestPipelines:
         # commands are pure functions of their input bytes
         again = run_cli("dual", stdin=gen.stdout)
         assert once.stdout == again.stdout
+
+
+def emitted(payload) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli._emit(payload, True)
+    return out.getvalue()
+
+
+def reference(payload) -> str:
+    return json.dumps(payload, indent=2, default=list) + "\n"
+
+
+# Every --json command on seeded inputs: null orders, both kinds of
+# mighty_factor, shattered and unshattered witnesses, dual labels, and lists
+# longer than one write's chunk of ids.
+JSON_COMMANDS = (
+    *(["degeneracy", "--kind", kind, "{gap}"] for kind in ("strong", "plain", "mighty-bf", "strong-bf")),
+    *(["degeneracy", "--kind", kind, "{big}"] for kind in ("strong", "plain")),
+    ["cover", "{gap}"],
+    ["cover", "--mighty", "{gap}"],
+    ["cover", "--mighty", "{big}"],
+    ["transversal", "{small}"],
+    ["transversal", "{big}"],
+    ["dominate", "--kind", "closed", "{tree}"],
+    ["dominate", "--kind", "open", "{tree}"],
+    ["exact", "--problem", "min-edge-cover", "{small}"],
+    ["exact", "--problem", "max-2-packing", "{tree}"],
+    ["vc", "{small}"],
+    ["vc", "{edgeless}"],
+    ["verify", "--kind", "edge-cover", "--ids", "1", "2", "{gap}"],
+    ["verify", "--kind", "dominating", "--ids", "1", "{tree}"],
+    ["dual", "{gap}"],
+    ["dual", "{small}"],
+    ["audit", "--trials", "5", "{tree}"],
+)
+
+
+class TestJsonWriter:
+    """``--json`` writes exactly what ``json.dumps(payload, indent=2,
+    default=list)`` would."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("json")
+        texts = {
+            "gap": format_hypergraph(gap_family(6)),
+            "small": format_hypergraph(random_hypergraph(9, 12, 3, 4, cover_feasible=True)),
+            "big": format_hypergraph(random_hypergraph(6000, 10000, 4, 7, cover_feasible=True)),
+            "tree": format_graph(random_tree(12, 3)),
+            "edgeless": "p hg 2 0\n",
+        }
+        paths = {}
+        for name, text in texts.items():
+            paths[name] = root / name
+            paths[name].write_text(text, encoding="utf-8")
+        return paths
+
+    @pytest.mark.parametrize("argv", JSON_COMMANDS, ids=lambda argv: " ".join(argv[:-1]))
+    def test_every_command_writes_what_json_dumps_writes(self, files, argv, capsys):
+        argv = [*argv[:-1], "--json", argv[-1].format(**files)]
+        # The payloads hold maps, which one encoding uses up: each side gets
+        # its own.
+        args = cli.build_parser().parse_args(argv)
+        if args.command == "verify":
+            # --ids takes the file too; main splits it off before the call.
+            assert cli._read_ids(args) is None
+        expected = reference(args.func(args))
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_a_list_of_ids_written_in_chunks(self):
+        payload = {"order": range(1, 3 * cli._CHUNK + 2), "ids": list(range(cli._CHUNK)), "empty": map(int, "")}
+        assert emitted(payload) == reference({k: list(v) for k, v in payload.items()})
+
+    @given(
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+            lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+            | st.dictionaries(st.text() | st.integers() | st.booleans() | st.none() | st.floats(), inner),
+        )
+    )
+    def test_nested_values(self, value):
+        # Chunks of three ids, so that runs of ints, bools and other values
+        # meet at chunk boundaries.
+        with mock.patch.object(cli, "_CHUNK", 3):
+            assert emitted({"value": value}) == reference({"value": value})

@@ -140,6 +140,22 @@ def check_strong_core(h, k):
     assert _strong_core(masks, (1 << h.n) - 1, k) == sum(1 << v for v in largest)
 
 
+def check_peeling_steps(h):
+    """Every step of the strong and the plain peel removes the smallest
+    vertex of minimum degree in the current restriction."""
+    for strong, peel in ((True, strong_degeneracy), (False, degeneracy)):
+        eo = peel(h)
+        live = set(range(h.n))
+        for x, value in zip(eo.order, eo.step_values):
+            sub = restrict(h, live) if live != set(range(h.n)) else h
+            local = degree if not strong else strong_degree
+            degrees = {v: local(sub, v) for v in live}
+            low = min(degrees.values())
+            assert degrees[x] == low == value
+            assert x == min(v for v in live if degrees[v] == low)
+            live.remove(x)
+
+
 class TestPeelingMatchesDefinitions:
     @given(hypergraphs())
     def test_order_is_permutation(self, h):
@@ -149,19 +165,7 @@ class TestPeelingMatchesDefinitions:
 
     @given(hypergraphs())
     def test_each_step_recomputed_from_scratch(self, h):
-        """Every step removes the smallest vertex of minimum strong degree
-        in the current restriction."""
-        for strong, peel in ((True, strong_degeneracy), (False, degeneracy)):
-            eo = peel(h)
-            live = set(range(h.n))
-            for x, value in zip(eo.order, eo.step_values):
-                sub = restrict(h, live) if live != set(range(h.n)) else h
-                local = degree if not strong else strong_degree
-                degrees = {v: local(sub, v) for v in live}
-                low = min(degrees.values())
-                assert degrees[x] == low == value
-                assert x == min(v for v in live if degrees[v] == low)
-                live.remove(x)
+        check_peeling_steps(h)
 
     @given(hypergraphs())
     def test_strong_value_matches_brute_force(self, h):

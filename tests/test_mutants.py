@@ -28,6 +28,7 @@ import test_cover
 import test_degeneracy
 import test_domination
 import test_oracles
+import test_robustness
 
 
 def mutant(fn, old: str, new: str):
@@ -123,7 +124,7 @@ def test_deletion_that_skips_merging_two_shrunken_traces(monkeypatch):
     check = test_degeneracy.TestTraceIndex().check_records
     cases = list(deletion_sets())
     assert not caught(check, cases)
-    monkeypatch.setattr(TraceIndex, "_settle", mutant(TraceIndex._settle, "if s in [members[w] for w in same if w != t]:", "if False:"))
+    monkeypatch.setattr(TraceIndex, "_merges", mutant(TraceIndex._merges, "if s in [members[w] for w in same if w != t]:", "if False:"))
     assert caught(check, cases)
 
 
@@ -131,7 +132,7 @@ def test_strong_deletion_that_merges_on_a_hash_hit_without_comparing_sets(monkey
     check = collided(test_degeneracy.TestTraceIndex().check_records)
     cases = list(deletion_sets())
     assert not caught(check, cases)
-    monkeypatch.setattr(TraceIndex, "_settle", mutant(TraceIndex._settle, "if s in [members[w] for w in same if w != t]:", "if same:"))
+    monkeypatch.setattr(TraceIndex, "_merges", mutant(TraceIndex._merges, "if s in [members[w] for w in same if w != t]:", "if same:"))
     assert caught(check, cases)
 
 
@@ -140,7 +141,7 @@ def test_strong_deletion_that_keeps_a_shrunk_trace_inside_another(monkeypatch):
     check = test_degeneracy.TestTraceIndex().check_records
     cases = list(deletion_sets())
     assert not caught(check, cases)
-    monkeypatch.setattr(TraceIndex, "_settle", mutant(TraceIndex._settle, "if s < members[u]:", "if False:"))
+    monkeypatch.setattr(TraceIndex, "_dominated", mutant(TraceIndex._dominated, "if s < members[u]:", "if False:"))
     assert caught(check, cases)
 
 
@@ -149,7 +150,7 @@ def test_strong_recheck_that_scans_the_traces_through_one_member_but_not_the_oth
     check = test_degeneracy.TestTraceIndex().check_records
     cases = [*deletion_sets(), *test_degeneracy.hub_pair_deletions()]
     assert not caught(check, cases)
-    monkeypatch.setattr(TraceIndex, "_settle", mutant(TraceIndex._settle, "row = row & other", "row = row - other"))
+    monkeypatch.setattr(TraceIndex, "_dominated", mutant(TraceIndex._dominated, "row = row & other", "row = row - other"))
     assert caught(check, cases)
 
 
@@ -160,8 +161,8 @@ def test_strong_recheck_past_a_hub_pair_that_scans_the_shortest_row_of_any_verte
     check = test_degeneracy.TestTraceIndex().check_records
     cases = [*deletion_sets(), *test_degeneracy.hub_pair_deletions()]
     assert not caught(check, cases)
-    wrong = mutant(TraceIndex._settle, "for v in it:", "for v in range(len(vertex_traces)):")
-    monkeypatch.setattr(TraceIndex, "_settle", wrong)
+    wrong = mutant(TraceIndex._dominated, "for v in it:", "for v in range(len(vertex_traces)):")
+    monkeypatch.setattr(TraceIndex, "_dominated", wrong)
     assert caught(check, cases)
 
 
@@ -181,8 +182,36 @@ def test_plain_deletion_that_skips_the_list_when_the_first_entry_is_itself(monke
     check = collided(test_degeneracy.TestTraceIndex().check_records)
     cases = list(deletion_sets())
     assert not caught(check, cases)
-    monkeypatch.setattr(TraceIndex, "_settle", mutant(TraceIndex._settle, "if u != t or code in shared:", "if u != t:"))
+    monkeypatch.setattr(TraceIndex, "_merges", mutant(TraceIndex._merges, "if u != t or code in shared:", "if u != t:"))
     assert caught(check, cases)
+
+
+def test_strong_recheck_whose_probe_may_be_the_trace_itself(monkeypatch):
+    # Correct but quadratic: in the kernel-{0, 1} sunflower the probe is the
+    # shrunk trace itself at every petal deletion, so each re-check scans
+    # the kernel's row from the empty slots of all earlier drops.
+    check = test_robustness.check_strong_peel_within_2_s
+    cases = [(test_robustness.kernel_pair_sunflower(160000),)]
+    assert not caught(check, cases)
+    monkeypatch.setattr(TraceIndex, "_dominated", mutant(TraceIndex._dominated, "w = row.pop() if u == t else u", "w = u"))
+    assert caught(check, cases)
+
+
+def peel_mutant_is_caught(monkeypatch, old: str, new: str) -> None:
+    check = test_degeneracy.check_peeling_steps
+    cases = [(h,) for h in (*(gap_family(n) for n in range(3, 9)), *sparse_corpus())]
+    assert not caught(check, cases)
+    monkeypatch.setattr(TraceIndex, "peel", mutant(TraceIndex.peel, old, new))
+    assert caught(check, cases)
+
+
+def test_strong_peel_that_skips_the_recheck(monkeypatch):
+    peel_mutant_is_caught(monkeypatch, "dominated(t, s) if strong", "False if strong")
+
+
+def test_plain_peel_that_files_nothing(monkeypatch):
+    # A trace that loses x may equal one that missed x, filed before.
+    peel_mutant_is_caught(monkeypatch, "else merges(t, s, filed)", "else False")
 
 
 def test_build_that_keeps_every_edge_despite_the_handed_over_ids(monkeypatch):

@@ -9,10 +9,12 @@ import errno
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -411,6 +413,41 @@ def test_a_sunflower_with_a_two_vertex_kernel_is_fast(solve):
     start = time.process_time()
     solve(h)
     assert time.process_time() - start < 5
+
+
+@contextmanager
+def cpu_budget(seconds: float):
+    """Fail with an AssertionError once the block has run ``seconds`` of the
+    process's CPU time: the profiling timer stops a slow block at the bound
+    rather than after it finishes."""
+    def over(signum, frame):
+        raise AssertionError(f"more than {seconds} s of CPU time")
+
+    previous = signal.signal(signal.SIGPROF, over)
+    signal.setitimer(signal.ITIMER_PROF, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, previous)
+
+
+def kernel_pair_sunflower(petals: int) -> Hypergraph:
+    """The sunflower with kernel {0, 1} and ``petals`` one-vertex petals."""
+    return Hypergraph(petals + 2, tuple((0, 1, p) for p in range(2, petals + 2)))
+
+
+def check_strong_peel_within_2_s(h):
+    # The strong peel of the 160,000-petal sunflower takes about 1 s of CPU
+    # time (CPython 3.11, 2-core VM).  Every petal deletion re-checks {0, 1}
+    # against the kernel's long rows; a scan that first walks the empty slots
+    # that earlier drops left there took about 11.5 s.
+    with cpu_budget(2):
+        strong_degeneracy(h)
+
+
+def test_the_strong_peel_of_a_160000_petal_sunflower_is_linear():
+    check_strong_peel_within_2_s(kernel_pair_sunflower(160000))
 
 
 def test_tree_domination_of_a_large_random_tree_is_fast():
