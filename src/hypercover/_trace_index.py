@@ -11,27 +11,28 @@ Each trace has a stable integer id (at build time, the id of the edge that
 generates it) holding a mutable member set and a 64-bit XOR of per-vertex
 random keys (Zobrist hashing).  Deleting a set ``R`` shrinks each trace
 meeting ``R`` in place, once: discarding a member and XOR-ing its key out
-are O(1) and the id stays, so no other vertex's row changes.  Two rules,
-each in one method, then settle each shrunk trace:
+are O(1) and the id stays, so no other vertex's row changes.  Two rules
+then settle each shrunk trace:
 
-* the filing rule, ``_merges``, files it under its hash in a table that
-  holds the first id per hash and, once a second id shares that hash, the
-  list of all that do.  Equal traces share a hash, so a hit confirmed by an
-  exact member-set compare finds a trace that became equal to a filed one,
-  and the shrunk trace is dropped;
+* the filing rule files it under its hash in a table that holds the first
+  id per hash and, once a second id shares that hash, the list of all that
+  do.  Equal traces share a hash, so a hit confirmed by an exact member-set
+  compare finds a trace that became equal to a filed one, and the shrunk
+  trace is dropped;
 * the strong re-check rule, ``_dominated``, drops it if a kept trace lies
   strictly above it.
 
-``_settle`` applies them to the traces a ``delete_vertex`` call shrank, the
-build to every edge, and ``peel`` to each trace as it shrinks.
+``_settle`` applies them to the traces a deletion shrank, the build to
+every edge, and ``peel`` to each trace as it shrinks.
 
 A plain index keeps one table for good, since a shrunk trace may equal one
-that missed ``R``.  It only ever appends: a shrunk trace is filed again
-under its new hash and its old entry goes stale, so the table holds at most
-``m`` ids plus one per shrink, and the set compare turns every stale hit
-away.  Its build files every edge.  A strong index passes a fresh table to
-each ``delete_vertex`` call (the third fact below), and its build files
-nothing: base edges are distinct, so no two are equal.
+that missed ``R``, and files through ``_merges``.  It only ever appends: a
+shrunk trace is filed again under its new hash and its old entry goes
+stale, so the table holds at most ``m`` ids plus one per shrink, and the
+set compare turns every stale hit away.  Its build files every edge.  A
+strong index files, in ``_settle``, in a table of that deletion only (the
+third fact below), and its build files nothing: base edges are distinct,
+so no two are equal.
 
 A strong index rests on three facts about deleting a set ``R``:
 
@@ -45,6 +46,19 @@ A strong index rests on three facts about deleting a set ``R``:
   shrank to.  It keeps its status, and only the shrunk survivors are
   re-checked, each by a scan of the traces through two of its members.
 
+Most of those re-checks find what was known before: the trace is still
+maximal.  A witness of a kept trace ``t`` is a pair of its members ``a``,
+``b`` whose rows meet in ``{t}`` alone, or one member ``a = b`` whose whole
+row is ``{t}``.  Rows only ever lose ids, so while ``a`` and ``b`` stay in
+``t``, their rows still meet in ``{t}`` at most, and no other kept trace,
+before or after a shrink, holds both: none lies above ``t`` or equals it,
+and no shrunk trace can become equal to it.  Such a ``t`` needs neither a
+re-check nor a filing when it shrinks.  ``_dominated`` records the pair
+where it finds it, when the first member's row or the intersection of the
+first two rows is ``{t}``, and records none otherwise; a deletion
+re-checks and files a shrunk trace only when it has no pair or lost a
+member of it.  The plain index keeps no pairs.
+
 When ``R`` is one vertex ``x``, no two shrunk traces become equal, since
 ``t - x = u - x`` with ``x`` in both forces ``t = u``, and a shrunk trace
 lies strictly inside a trace ``u`` through ``x`` only if ``t < u`` held
@@ -52,40 +66,53 @@ before.  So a shrunk trace can only merge into, or lie inside, a trace that
 missed ``x``, which the step leaves as it was.  ``peel`` rests on this: it
 runs the whole one-vertex peel of ``strong_degeneracy`` and ``degeneracy``
 as one loop, settles each trace as soon as it shrinks, and in a strong
-index files nothing.  A step costs one heap pop, O(1) plus one settling
-rule per kept trace through ``x``, |t| per dropped trace and one heap push
-per vertex whose degree fell: what ``delete_vertex(x)`` costs, without a
-table and a set of touched traces per step.  ``delete_vertex`` serves the
-batched bound peel, the greedy cover's strong removals and the tests.
+index files nothing.  A step costs one heap pop, O(1) per kept trace
+through ``x`` plus one settling rule for each that is plain, has no pair
+or had ``x`` in its pair, |t| per dropped trace and one heap push per
+vertex whose degree fell: what deleting ``x`` costs, without a table and a
+set of touched traces per step.  ``_delete`` serves the batched bound
+peel and the greedy cover's strong removals; ``delete_vertex`` is it, with
+the ids checked first.
 
 A deletion thus costs the sum over ``x`` in ``R`` of the kept traces
-through ``x``, plus one table lookup per shrunk trace, plus |t| per dropped
-trace, plus, in a strong index, one dominance check per shrunk survivor
-``t``.  The check intersects, in C, the rows of the first two members of
-``t`` and tests each trace in both; while one of those rows holds at most
-``8|t|`` traces, it costs O(|t|), and far less when the intersection is
-``{t}`` alone, as it almost always is.  Otherwise the two members are
-shared by many traces (a sunflower's kernel): a walk over the other members
-finds the shortest row, and one probe of that row comes before its scan.
-``set.pop`` starts where the last pop of the same row stopped, so the probe
-passes only the empty slots between there and the next live trace, while a
-scan starts at the first slot and passes every empty slot that dropped ids
-left in the row's table.  When the probe, taken past ``t`` itself, holds a
-superset, the check costs O(|t|) plus that pass.  Otherwise it also costs
-the scan: the row's live traces plus its empty slots, up to the row's peak
-size, so a long row that holds few supersets is still a slow case.  In the
-sunflower with kernel {0, 1}, every petal's check ends at the probe, and the
-strong peel of 160,000 petals takes about 1 s of CPU time instead of
-11.5 s (CPython 3.11, 2-core VM).  Dropped traces cost nothing again.  A
-strong build checks every edge the same way to drop the edges inside
-others, unless it is handed the ids of the maximal edges, which
-``trace_ids()`` of another strong index of the same hypergraph lists before
-its first deletion.
+through ``x``, plus |t| per dropped trace, plus, per shrunk trace that is
+plain, has no pair or lost a member of its pair, one table lookup and, in
+a strong index, one dominance check.  On the sparse-random input of the
+benchmark (n = 2000) the pairs cut the checks of the bound's batched peel
+from 16,345 to 11,221, of the greedy from 15,187 to 8,093 and of the
+one-vertex strong peel from 21,081 to 13,110.  The check intersects, in C,
+the rows of the first two members of ``t`` and tests each trace in both;
+while one of those rows holds at most ``8|t|`` traces, it costs O(|t|), and
+far less when the intersection is ``{t}`` alone, as it almost always is.
+Otherwise the two members are shared by many traces (a sunflower's
+kernel): a walk over the other members finds the shortest row, and one
+probe of that row comes before its scan.  ``set.pop`` starts where the last
+pop of the same row stopped, so the probe passes only the empty slots
+between there and the next live trace, while a scan starts at the first
+slot and passes every empty slot that dropped ids left in the row's table.
+When the probe, taken past ``t`` itself, holds a superset, the check costs
+O(|t|) plus that pass.  Otherwise it also costs the scan: the row's live
+traces plus its empty slots, up to the row's peak size, so a long row that
+holds few supersets is still a slow case.  In the sunflower with kernel
+{0, 1}, every petal's check ends at the probe, and the strong peel of
+160,000 petals takes about 1 s of CPU time instead of 11.5 s (CPython 3.11,
+2-core VM).  Dropped traces cost nothing again.
+
+A strong build checks every edge the same way to drop the edges inside
+others, unless it is handed a seed: ``seed()`` of another strong index of
+the same hypergraph, taken before that index's first deletion, lists the
+kept ids with the hashes and a copy of the witness pairs of its build.  The
+seeded build keeps those ids and reads each row off the base incidence,
+with no hash loop and no dominance pass.  The pairs must be a copy: those
+the other index records after its deletions hold only for its smaller
+rows.
 
 No representative is stored.  The one of a kept trace, the smallest base
 edge generating it, is found on demand by ``maximal_traces_at`` and
 ``traces()``: the first edge, in the base incidence row of one of its
 members, that holds the trace and no other live vertex.
+``maximal_traces_at(v)`` finds those of every kept trace through ``v`` in
+one pass over ``v``'s incidence row.
 
 ``pop_min`` hands out one vertex of minimum degree; ``pop_at_most(k)`` every
 live vertex of degree at most ``k``, the batch of a core peel.  Degrees never
@@ -121,6 +148,10 @@ _KEY_SOURCE = random.Random(0x5EED)
 # shrink of every trace through them: quadratic over a peel.
 _PAIR_ROWS = 8
 
+# What a strong index hands a strong build of the same hypergraph before its
+# first deletion: the kept ids, the hash per id and the witness pair per id.
+Seed = tuple[list[int], list[int], list[tuple[int, int] | None]]
+
 
 def _zobrist_keys(n: int) -> list[int]:
     """At least ``n`` 64-bit keys, one per vertex id; key ``i`` is the
@@ -138,11 +169,12 @@ class TraceIndex:
     distinct trace is kept and the degree is the plain one.
     """
 
-    def __init__(self, h: Hypergraph, strong: bool = True, maximal: list[int] | None = None):
-        """Index the traces of ``h``.  ``maximal`` may hand a strong build
-        the ids of the maximal edges of ``h``, as ``trace_ids()`` of another
-        strong index of ``h`` lists them before its first deletion: the build
-        then keeps those edges and drops the rest without a dominance pass."""
+    def __init__(self, h: Hypergraph, strong: bool = True, seed: Seed | None = None):
+        """Index the traces of ``h``.  ``seed``, what :meth:`seed` of another
+        strong index of ``h`` handed over before its first deletion, spares
+        a strong build its hash loop and its dominance pass: the build keeps
+        the seed's ids, takes its lists of hashes and witness pairs over as
+        its own, and reads each row off ``h.incidence``."""
         self.strong = strong
         self.alive = [True] * h.n
         self._h = h
@@ -150,19 +182,28 @@ class TraceIndex:
         # Per trace id; a dropped id has members None.  Base edges are
         # distinct, so edge i starts as trace i.
         edges = h.edges
-        kept = range(h.m) if maximal is None else maximal
+        kept = range(h.m) if seed is None else seed[0]
         members: list[set[int] | None] = [None] * h.m
         for t in kept:
             members[t] = set(edges[t])
         self._members = members
-        hashes = self._hash = [0] * h.m
-        vertex_traces = self._vertex_traces = [set() for _ in range(h.n)]
-        for t in kept:
-            code = 0
-            for v in edges[t]:
-                vertex_traces[v].add(t)
-                code ^= keys[v]
-            hashes[t] = code
+        if seed is None:
+            # Per kept trace, a witness pair (see the module docstring) or None.
+            self._wit: list[tuple[int, int] | None] = [None] * h.m
+            hashes = [0] * h.m
+            vertex_traces = [set() for _ in range(h.n)]
+            for t in kept:
+                code = 0
+                for v in edges[t]:
+                    vertex_traces[v].add(t)
+                    code ^= keys[v]
+                hashes[t] = code
+        else:
+            _, hashes, self._wit = seed
+            chosen = set(kept)
+            vertex_traces = [chosen.intersection(row) for row in h.incidence]
+        self._hash = hashes
+        self._vertex_traces = vertex_traces
         if not strong:
             # A shrunk trace may equal one that missed the deletion, so a
             # plain index keeps every trace filed, for good.  Base edges are
@@ -171,7 +212,7 @@ class TraceIndex:
             merges = self._merges
             for t in kept:
                 merges(t, members[t], filed)
-        elif maximal is None:
+        elif seed is None:
             # Base edges are distinct, so none is filed.  Any order works:
             # what lies above a dropped edge lies in a kept one.
             dominated = self._dominated
@@ -217,6 +258,15 @@ class TraceIndex:
         the maximal edges of ``h``."""
         return [t for t, s in enumerate(self._members) if s is not None]
 
+    def seed(self) -> Seed:
+        """What a strong build of the same hypergraph, in the same vertex
+        numbering, takes in place of its hash loop and dominance pass: the
+        kept ids, the hashes and a copy of the witness pairs.  Only a strong
+        index before its first deletion hands over a valid seed; the copies
+        keep its later hashes and pairs, which hold only for its smaller
+        rows, out of the seeded build."""
+        return self.trace_ids(), self._hash[:], self._wit[:]
+
     def traces(self) -> dict[frozenset[int], int]:
         """Snapshot of the kept traces, each with its representative: with
         ``strong=True`` the maximal traces, otherwise every distinct one."""
@@ -250,10 +300,30 @@ class TraceIndex:
 
     def maximal_traces_at(self, v: int) -> list[tuple[int, frozenset[int]]]:
         """(representative edge id, trace) pairs of the kept traces through
-        ``v``, the maximal ones of a strong index, ordered by representative."""
+        ``v``, the maximal ones of a strong index, ordered by representative.
+
+        One pass over the base edges through ``v``, in id order, matches the
+        live part of each against the traces not yet matched: the first
+        edge to match a trace is its smallest generator.
+
+        Raises:
+            CertificateError: no base edge generates one of the traces.
+        """
         members = self._members
-        out = [(self._representative(t, v), frozenset(members[t])) for t in self._vertex_traces[v]]
-        out.sort()
+        wanted = {frozenset(members[t]) for t in self._vertex_traces[v]}
+        out = []
+        if wanted:
+            live = self.alive.__getitem__
+            edges = self._h.edges
+            for e in self._h.incidence[v]:
+                trace = frozenset(filter(live, edges[e]))
+                if trace in wanted:
+                    wanted.remove(trace)
+                    out.append((e, trace))
+                    if not wanted:
+                        break
+        if wanted:
+            raise CertificateError(f"no edge generates the trace {min(map(sorted, wanted))}")
         return out
 
     def peel(self) -> tuple[list[int], list[int]]:
@@ -262,14 +332,17 @@ class TraceIndex:
 
         The loop of :meth:`pop_min` and :meth:`delete_vertex`, with one
         vertex gone per step.  Each shrunk trace is settled as soon as it
-        shrinks: a strong index checks it with :meth:`_dominated` and files
-        nothing, a plain index files it with :meth:`_merges` (see the module
-        docstring for why this is exact)."""
+        shrinks: a strong index checks it with :meth:`_dominated` unless a
+        witness pair without ``x`` proves it maximal, and files nothing, so
+        it leaves the hashes as they were; a plain index files it with
+        :meth:`_merges` (see the module docstring for why this is exact).
+        No vertex is left after it, so nothing reads the index again."""
         heap = self._heap
         alive = self.alive
         keys = self._keys
         members = self._members
         hashes = self._hash
+        wit = self._wit
         vertex_traces = self._vertex_traces
         drop = self._drop
         strong = self.strong
@@ -296,11 +369,15 @@ class TraceIndex:
             for t in row:
                 s = members[t]
                 s.discard(x)
-                hashes[t] ^= key
                 if not s:
                     members[t] = None
-                elif dominated(t, s) if strong else merges(t, s, filed):
-                    changed |= drop(t)
+                elif strong:
+                    if ((w := wit[t]) is None or x in w) and dominated(t, s):
+                        changed |= drop(t)
+                else:
+                    hashes[t] ^= key
+                    if merges(t, s, filed):
+                        changed |= drop(t)
             if changed:
                 # One entry per vertex whose degree fell, however many of
                 # its traces this step dropped.
@@ -324,6 +401,11 @@ class TraceIndex:
         if len(gone) > 1 and len(set(gone)) < len(gone):
             x = next(x for i, x in enumerate(gone) if x in gone[:i])
             raise ValueError(f"vertex {x} repeated")
+        self._delete(gone)
+
+    def _delete(self, gone: Iterable[int]) -> None:
+        """:meth:`delete_vertex` for ``gone`` known to hold distinct live ids."""
+        alive = self.alive
         keys = self._keys
         members = self._members
         hashes = self._hash
@@ -338,38 +420,71 @@ class TraceIndex:
                 hashes[t] ^= key
             touched |= row
             vertex_traces[x] = set()
-        changed = self._settle(touched, ({}, {}) if self.strong else self._filed)
+        changed = self._settle(touched)
         heap = self._heap
         for v in changed:
             heappush(heap, (len(vertex_traces[v]), v))
 
-    def _settle(self, touched: Iterable[int], filed: tuple[dict[int, int], dict[int, list[int]]]) -> set[int]:
-        """Settle each shrunk trace of ``touched``: drop it if emptied, if
-        :meth:`_merges` files it under a hash in ``filed`` that a trace of
-        the same members holds, or, in a strong index, if :meth:`_dominated`
-        finds a kept trace strictly above it.  Returns the members of the
-        traces dropped, the vertices whose degree fell."""
+    def _settle(self, touched: Iterable[int]) -> set[int]:
+        """Settle each shrunk trace of ``touched``: drop it if emptied, if a
+        trace of the same members is filed, or, in a strong index, if
+        :meth:`_dominated` finds a kept trace strictly above it.  Returns the
+        members of the traces dropped, the vertices whose degree fell.
+
+        A plain index files each trace with :meth:`_merges` in its lasting
+        table.  A strong index skips every trace whose witness pair lost no
+        member, and files the rest in a table of this call, under the same
+        rule written out: the table is fresh, so no entry is stale and a
+        trace meets only others."""
         members = self._members
-        strong = self.strong
+        drop = self._drop
         changed: set[int] = set()
+        if not self.strong:
+            filed = self._filed
+            merges = self._merges
+            for t in touched:
+                s = members[t]
+                if not s:
+                    # Emptied: its members' rows are gone, so no scan meets it.
+                    members[t] = None
+                elif merges(t, s, filed):
+                    changed |= drop(t)  # an equal trace stays
+            return changed
+        alive = self.alive
+        hashes = self._hash
+        wit = self._wit
+        dominated = self._dominated
+        first: dict[int, int] = {}
+        shared: dict[int, list[int]] = {}
         for t in touched:
             s = members[t]
             if not s:
-                # Emptied: its members' rows are gone, so no scan meets it.
                 members[t] = None
-            elif self._merges(t, s, filed) or strong and self._dominated(t, s):
-                changed |= self._drop(t)  # an equal trace stays
+                continue
+            w = wit[t]
+            if w is not None and alive[w[0]] and alive[w[1]]:
+                continue
+            code = hashes[t]
+            u = first.setdefault(code, t)
+            if u != t:
+                same = shared.setdefault(code, [u])
+                if s in [members[v] for v in same]:
+                    changed |= drop(t)
+                    continue
+                same.append(t)
+            if dominated(t, s):
+                changed |= drop(t)
         return changed
 
     def _merges(self, t: int, s: set[int], filed: tuple[dict[int, int], dict[int, list[int]]]) -> bool:
-        """The filing rule: file trace ``t``, of members ``s``, under its
-        hash in ``filed``, which holds the first id per hash and the list of
-        all once a second id shares it, and tell whether a filed trace has
+        """The plain filing rule: file trace ``t``, of members ``s``, under
+        its hash in ``filed``, which holds the first id per hash and the list
+        of all once a second id shares it, and tell whether a filed trace has
         the same members.
 
-        A plain index's entries go stale (see the module docstring), so the
-        list is scanned even when the first entry is ``t`` itself, filed
-        under this hash in an earlier shape.
+        Entries go stale (see the module docstring), so the list is scanned
+        even when the first entry is ``t`` itself, filed under this hash in
+        an earlier shape.
         """
         first, shared = filed
         code = self._hash[t]
@@ -384,29 +499,38 @@ class TraceIndex:
 
     def _dominated(self, t: int, s: set[int]) -> bool:
         """The strong re-check rule: whether a kept trace lies strictly
-        above ``s``, the members of kept trace ``t``.
+        above ``s``, the members of kept trace ``t``.  When it finds none,
+        it records t's witness pair, or ``None`` when it has none.
 
         Any trace above t passes through every member of t, so it lies in
         the row of each: the first member's row when only t is in it, else
-        its intersection with the second's, almost always {t} alone.  When
-        both rows are long (see ``_PAIR_ROWS``), a walk over the other
-        members finds the shortest row, and one probe of it comes first:
-        ``set.pop`` resumes where the last pop of that row stopped, so it
-        skips the empty slots that dropped ids leave behind, which a scan
-        passes from the first slot on.  The probe is the next pop when the
-        first is t itself; the popped ids go back at once, and the row is
-        scanned only if the probe holds no superset.  A set's ``<`` fails in
-        O(1) unless the right side is larger.
+        its intersection with the second's, almost always {t} alone.  Either
+        way those members are t's witness pair.  When both rows are long
+        (see ``_PAIR_ROWS``), a walk over the other members finds the
+        shortest row, and one probe of it comes first: ``set.pop`` resumes
+        where the last pop of that row stopped, so it skips the empty slots
+        that dropped ids leave behind, which a scan passes from the first
+        slot on.  The probe is the next pop when the first is t itself; the
+        popped ids go back at once, and the row is scanned only if the probe
+        holds no superset.  A set's ``<`` fails in O(1) unless the right
+        side is larger.  The walk records no pair.
         """
         vertex_traces = self._vertex_traces
         members = self._members
         it = iter(s)
-        row = vertex_traces[next(it)]
-        if len(row) > 1 and len(s) > 1:
-            other = vertex_traces[next(it)]
+        a = next(it)
+        row = vertex_traces[a]
+        if len(row) == 1:
+            self._wit[t] = (a, a)
+            return False
+        pair = None
+        if len(s) > 1:
+            b = next(it)
+            other = vertex_traces[b]
             bar = _PAIR_ROWS * len(s)
             if len(row) <= bar or len(other) <= bar:
                 row = row & other
+                pair = (a, b) if len(row) == 1 else None
             else:
                 for v in it:
                     if len(vertex_traces[v]) < len(row):
@@ -421,4 +545,5 @@ class TraceIndex:
         for u in row:
             if s < members[u]:
                 return True
+        self._wit[t] = pair
         return False

@@ -342,34 +342,30 @@ def check(h: HypergraphLike, kind: str, ids: Iterable[int]) -> bool:
     :class:`ParameterError`.
     """
     chosen = sorted(set(ids))
-    sets = h.edge_sets
-    # A range, not a set of n objects, for a whole hypergraph: a tiny file
-    # may declare a huge n.
-    universe = range(h.n) if isinstance(h, Hypergraph) else frozenset(h.vertices)
+    whole = isinstance(h, Hypergraph)
+    # The edge tuples of a whole hypergraph, not a frozenset per edge; and a
+    # range, not a set of n objects: a tiny file may declare a huge n.
+    edges = h.edges if whole else h.traces
+    universe = range(h.n) if whole else frozenset(h.vertices)
     if kind in ("edge-cover", "matching"):
         for i in chosen:
-            if not 0 <= i < len(sets):
-                raise IdOutOfRangeError("edge id {} outside {}..{}", i, 0, len(sets) - 1)
+            if not 0 <= i < len(edges):
+                raise IdOutOfRangeError("edge id {} outside {}..{}", i, 0, len(edges) - 1)
+        taken = [edges[i] for i in chosen]
+        covered = set().union(*taken)
         if kind == "edge-cover":
-            covered: set[int] = set()
-            for i in chosen:
-                covered |= sets[i]
             # Every edge lies inside the vertex set, so equal sizes suffice.
             return len(covered) == len(universe)
-        used: set[int] = set()
-        for i in chosen:
-            if used & sets[i]:
-                return False
-            used |= sets[i]
-        return True
+        # Pairwise disjoint exactly when no vertex is counted twice.
+        return len(covered) == sum(map(len, taken))
     if kind in ("independent-set", "transversal"):
         for x in chosen:
             if x not in universe:
                 raise IdOutOfRangeError("vertex id {} not in the hypergraph", x)
         picked = frozenset(chosen)
         if kind == "independent-set":
-            return all(len(e & picked) <= 1 for e in sets)
-        return all(e & picked for e in sets)
+            return all(len(picked.intersection(e)) <= 1 for e in edges)
+        return not any(map(picked.isdisjoint, edges))
     raise ParameterError(f"unknown check kind {kind!r}")
 
 

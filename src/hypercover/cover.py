@@ -18,14 +18,20 @@ and the factor is the strong degeneracy, tightened to the mighty value when
 that is affordable.  The strong degeneracy comes first, from a batched
 strong-core peel on its own index, so it checks the greedy's steps rather
 than being read off them; that index is gone before the greedy builds its
-own.  Only the ids of the maximal edges, which its build kept, outlive it:
-the greedy's build keeps those edges and skips its own dominance pass.
+own.  Only its seed, taken before its first deletion, outlives it: the ids
+of the maximal edges, which its build kept, their hashes and a copy of
+their witness pairs.  The greedy's build keeps those edges, reads its rows
+off the incidence of ``h`` and skips its hash loop and dominance pass.  The
+greedy's last step takes all that is left, so it ends there, without the
+deletion.
 The mighty search starts at the largest step and stops at the strong
 degeneracy, and when the two meet it searches nothing.  Since an edge cover
 is never smaller than an independent set, a run certifies both quantities.
 
 ``greedy_transversal`` runs the same greedy on the dual hypergraph, turning
 the cover into a transversal and the independent set into a matching.
+When no two vertices of ``h`` share an incidence row, the dual's own
+incidence is the edge list of ``h``, so it is stored, not computed again.
 """
 
 from __future__ import annotations
@@ -111,8 +117,8 @@ def _greedy(
     degeneracy, the mighty value (``None`` unless requested and affordable),
     and whether the inequality holds for each factor.  The cover and the
     independent set are left for the caller to check."""
-    bound, maximal = _strong_degeneracy(h)
-    steps, cover_ids = _peel(h, strong=True, strong_removal=True, maximal=maximal)
+    bound, seed = _strong_degeneracy(h)
+    steps, cover_ids = _peel(h, strong=True, strong_removal=True, seed=seed)
     if len(set(cover_ids)) != len(cover_ids):
         raise CertificateError("an edge was selected twice")
     cover = tuple(sorted(cover_ids))
@@ -141,7 +147,12 @@ def greedy_transversal(h: Hypergraph) -> TransversalCertificate:
     edges, generators = h._incidence_classes
     # The dual as core.dual builds it, less the labels; every edge of h is
     # nonempty, so every dual vertex lies in a dual edge.
-    cover, matching, per_step, bound, _, inequality = _greedy(Hypergraph._unchecked(h.m, edges))
+    d = Hypergraph._unchecked(h.m, edges)
+    if len(edges) == h.n:
+        # No two vertices share an incidence row, so dual edge v is vertex
+        # v's row, and dual vertex i lies in the dual edges of h.edges[i].
+        d.__dict__["incidence"] = h.edges
+    cover, matching, per_step, bound, _, inequality = _greedy(d)
     # Each chosen dual edge maps back to its smallest generator.  These
     # ascend with the dual edge id, so the transversal stays sorted, and the
     # map is one-to-one, so the dual run's inequality is this run's too.

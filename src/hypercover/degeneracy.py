@@ -26,9 +26,14 @@ masks, each from the one below it.  ``_strong_degeneracy`` finds the value
 on the engine's index, in batches: it raises k to the minimum degree of
 what is left, deletes every vertex of degree at most k in one call, and
 stops at the batch that takes all that is left.  The greedy cover uses it
-for its bound, which it checks its own steps against, and hands the ids of
-the maximal edges, read off that index before its first deletion, to its
-own index's build.
+for its bound, which it checks its own steps against.  Before its first
+deletion it takes its index's seed (``TraceIndex.seed``): the ids of the
+maximal edges, their hashes and a copy of the witness pairs of its build.
+The greedy's build starts from that seed, with no hash loop and no
+dominance pass; it holds only in ``h``'s own numbering, which the greedy
+keeps, as every vertex of its input lies in an edge.  The greedy's loop
+stops at the step that takes all that is left, before its deletion, since
+nothing reads the index after it.
 
 The greedy cover knows bounds on the mighty value before it needs it (see
 :mod:`hypercover.cover`): its largest step below, the strong degeneracy
@@ -42,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._trace_index import TraceIndex
+from ._trace_index import Seed, TraceIndex
 from .core import Hypergraph
 from .errors import TooLargeError
 
@@ -63,30 +68,33 @@ class EliminationOrder:
 
 
 def _peel(
-    h: Hypergraph, strong: bool, strong_removal: bool = False, maximal: list[int] | None = None
+    h: Hypergraph, strong: bool, strong_removal: bool = False, seed: Seed | None = None
 ) -> tuple[EliminationOrder, list[int]]:
     """Pop a vertex of minimum strong (or plain) degree and delete it, or with
     ``strong_removal`` strongly remove it, until no vertex is left.  Returns
     the popped vertices with their degrees and the representatives of the
     maximal traces removed.  Vertices in no edge have degree 0 throughout,
     any other at least 1, so they come first and never enter the index.
-    ``maximal``, the ids of the maximal edges of ``h``, spares a strong
-    index its dominance pass (see :class:`TraceIndex`)."""
+    ``seed``, handed over by a strong index of ``h`` before its first
+    deletion, spares a strong build its hash loop and dominance pass (see
+    :class:`TraceIndex`); it holds only in ``h``'s own vertex numbering."""
     seen = h._covered
     order = [v for v in range(h.n) if v not in seen] if len(seen) < h.n else []
     values = [0] * len(order)
     ids = sorted(seen) if order else range(h.n)
     if order:
+        assert seed is None, "a seed holds only in the numbering it was built in"
         # Renumbering in id order keeps every tie, and every edge sorted and
         # distinct; edge ids stay put.
         local = {v: i for i, v in enumerate(ids)}
         h = Hypergraph._unchecked(len(ids), tuple(tuple(local[v] for v in e) for e in h.edges))
-    index = TraceIndex(h, strong=strong, maximal=maximal)
+    index = TraceIndex(h, strong=strong, seed=seed)
     if not strong_removal:
         popped, degrees = index.peel()
         order += map(ids.__getitem__, popped)
         return EliminationOrder(tuple(order), (*values, *degrees)), []
     taken: list[int] = []
+    live = h.n
     while (entry := index.pop_min()) is not None:
         d, x = entry
         order.append(ids[x])
@@ -95,7 +103,12 @@ def _peel(
         for rep, trace in index.maximal_traces_at(x):
             taken.append(rep)
             gone |= trace
-        index.delete_vertex(*gone)
+        if len(gone) == live:
+            # The step takes all that is left, and nothing reads the index
+            # after it.
+            break
+        index._delete(gone)
+        live -= len(gone)
     return EliminationOrder(tuple(order), tuple(values)), taken
 
 
@@ -110,14 +123,14 @@ def degeneracy(h: Hypergraph) -> EliminationOrder:
     return _peel(h, strong=False)[0]
 
 
-def _strong_degeneracy(h: Hypergraph) -> tuple[int, list[int]]:
+def _strong_degeneracy(h: Hypergraph) -> tuple[int, Seed]:
     """The strong degeneracy, the largest k whose strong k-core is nonempty,
-    and the ids of the maximal edges of ``h``, which the index's build kept.
-    Each round pops a vertex of minimum degree, raises k to it, and deletes
-    every vertex of degree at most k in one call; the round whose batch is
-    all that is left ends it."""
+    and the seed of the index's build (see :meth:`TraceIndex.seed`), taken
+    before its first deletion.  Each round pops a vertex of minimum degree,
+    raises k to it, and deletes every vertex of degree at most k in one
+    call; the round whose batch is all that is left ends it."""
     index = TraceIndex(h, strong=True)
-    maximal = index.trace_ids()
+    seed = index.seed()
     k = 0
     live = h.n
     while (entry := index.pop_min()) is not None:
@@ -127,9 +140,9 @@ def _strong_degeneracy(h: Hypergraph) -> tuple[int, list[int]]:
         gone.append(x)
         if len(gone) == live:
             break
-        index.delete_vertex(*gone)
+        index._delete(gone)
         live -= len(gone)
-    return k, maximal
+    return k, seed
 
 
 def _strong_core(edge_masks: list[int], subset_mask: int, k: int) -> int:

@@ -133,6 +133,35 @@ def check_graph_ref(g, kind, ids):
     raise ParameterError(f"unknown graph check kind {kind!r}")
 
 
+def check_ref(h, kind, ids):
+    """``check`` edge by edge, from the definitions, over one frozenset per
+    edge (per trace of a restriction): the chosen edges cover every vertex
+    (edge cover) or meet pairwise in nothing (matching); every edge meets
+    the chosen vertices in at most one (independent set) or at least one
+    (transversal).  The smallest id outside the edge ids or the vertices is
+    reported first, then an unknown kind."""
+    whole = isinstance(h, Hypergraph)
+    sets = [frozenset(e) for e in (h.edges if whole else h.traces)]
+    vertices = set(range(h.n)) if whole else set(h.vertices)
+    if kind in ("edge-cover", "matching"):
+        outside = [i for i in ids if not 0 <= i < len(sets)]
+        if outside:
+            raise IdOutOfRangeError("edge id {} outside {}..{}", min(outside), 0, len(sets) - 1)
+        chosen = [sets[i] for i in set(ids)]
+        if kind == "edge-cover":
+            return set().union(*chosen) == vertices
+        return all(not a & b for a, b in combinations(chosen, 2))
+    if kind in ("independent-set", "transversal"):
+        outside = [x for x in ids if x not in vertices]
+        if outside:
+            raise IdOutOfRangeError("vertex id {} not in the hypergraph", min(outside))
+        picked = set(ids)
+        if kind == "independent-set":
+            return all(len(e & picked) <= 1 for e in sets)
+        return all(e & picked for e in sets)
+    raise ParameterError(f"unknown check kind {kind!r}")
+
+
 def plain_degeneracy_bf(h):
     """Maximum over nonempty restrictions of the minimum plain degree."""
     best = 0

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypercover import (
+    CHECK_KINDS,
     Hypergraph,
     check,
     degree,
@@ -51,8 +52,11 @@ from conftest import (
     MALFORMED_HEADERS,
     check_fully_checked,
     check_outcome,
+    check_ref,
+    covering_hypergraphs,
     hypergraphs,
     messy_inputs,
+    sparse_instances,
     text_of,
 )
 
@@ -545,6 +549,27 @@ class TestCheck:
         assert check(h, "transversal", vertices) == all(
             e & vertices for e in h.edge_sets
         )
+
+    @given(
+        st.one_of(covering_hypergraphs(), sparse_instances()),
+        st.data(),
+    )
+    def test_matches_the_per_edge_reference(self, h, data):
+        """Every kind, and an unknown one, on the hypergraph and on a drawn
+        restriction of it, with id lists that repeat ids and hold ids on
+        both sides of the range: the same answer or the same error."""
+        subset = data.draw(st.sets(st.integers(min_value=0, max_value=h.n - 1), min_size=1))
+        for x in (h, restrict(h, subset)):
+            top = max(h.n, len(x.edges if isinstance(x, Hypergraph) else x.traces))
+            ids = data.draw(st.lists(st.integers(min_value=-2, max_value=top + 1), max_size=2 * top + 2))
+            for kind in (*CHECK_KINDS, "clique"):
+                answers = []
+                for fn in (check, check_ref):
+                    try:
+                        answers.append(fn(x, kind, ids))
+                    except (IdOutOfRangeError, ParameterError) as exc:
+                        answers.append((type(exc), str(exc), exc.id if isinstance(exc, IdOutOfRangeError) else None))
+                assert answers[0] == answers[1], (x, kind, ids)
 
 
 class TestShatteringAndVC:

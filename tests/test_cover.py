@@ -18,9 +18,11 @@ from hypercover import (
     maximal_edges,
     neighborhood_hypergraph,
     path_graph,
+    restrict,
     strong_degeneracy,
 )
 from hypercover._trace_index import TraceIndex
+from hypercover.degeneracy import _peel, _strong_degeneracy
 from hypercover.errors import CertificateError, IsolatedVertexError
 
 from conftest import covering_hypergraphs, covering_instances, gap_family_slices, mighty_degeneracy_ref
@@ -35,6 +37,34 @@ MIGHTY_EXAMPLES = (
     Hypergraph.from_edges(6, [(0, 3), (1, 2, 4), (1, 5), (2, 3), (4, 5)]),
     Hypergraph.from_edges(6, [(0, 1), (0, 4), (1, 4), (2, 3), (2, 4), (3,), (3, 5)]),
 )
+
+
+# GAP12's one step takes all; each step of PATH6 takes two vertices; the
+# first step of the sunflower takes its kernel, leaving each other petal a
+# trace of its own, and the last step takes one vertex.
+GREEDY_EXAMPLES = (GAP12, PATH6, Hypergraph(6, tuple((0, 1, p) for p in range(2, 6))))
+
+
+def check_greedy_steps(h):
+    """The greedy as ``greedy_cover`` runs it, from the bound's seed, step
+    by step against the restriction recomputed from scratch: it pops the
+    smallest vertex of minimum strong degree, takes the representatives of
+    the maximal traces through it in ascending order, and strongly removes
+    it, until no vertex is left."""
+    _, seed = _strong_degeneracy(h)
+    steps, taken = _peel(h, strong=True, strong_removal=True, seed=seed)
+    live = set(range(h.n))
+    order, sizes, reps = [], [], []
+    while live:
+        sub = restrict(h, live)
+        maximal = [(sub.representatives[i], sub.edge_sets[i]) for i in maximal_edges(sub)]
+        x = min(live, key=lambda v: (sum(v in t for _, t in maximal), v))
+        through = [(rep, t) for rep, t in maximal if x in t]
+        order.append(x)
+        sizes.append(len(through))
+        reps += sorted(rep for rep, _ in through)
+        live -= {x}.union(*(t for _, t in through))
+    assert (steps.order, steps.step_values, taken) == (tuple(order), tuple(sizes), reps)
 
 
 def check_mighty_value(h):
@@ -113,31 +143,41 @@ class TestGreedyCover:
     def test_bound_is_the_strong_degeneracy(self, h):
         assert greedy_cover(h).bound_factor == strong_degeneracy(h).value
 
+    @given(covering_instances())
+    @example(GREEDY_EXAMPLES[0])
+    @example(GREEDY_EXAMPLES[1])
+    @example(GREEDY_EXAMPLES[2])
+    def test_each_step_recomputed_from_scratch(self, h):
+        check_greedy_steps(h)
+
     def test_bound_checks_the_steps(self, monkeypatch):
         """The bound is computed apart from the greedy, so a step above it
         fails the self-check: on a 5-cycle of pairs the steps are 2 and 1,
         and a bound of 1 cannot hold 3 edges for 2 vertices."""
         cycle = Hypergraph.from_edges(5, [(v, (v + 1) % 5) for v in range(5)])
         assert greedy_cover(cycle).bound_factor == 2
-        maximal = list(range(cycle.m))  # every pair is maximal
-        monkeypatch.setattr("hypercover.cover._strong_degeneracy", lambda h: (1, maximal))
+        _, seed = _strong_degeneracy(cycle)
+        monkeypatch.setattr("hypercover.cover._strong_degeneracy", lambda h: (1, seed))
         with pytest.raises(CertificateError):
             greedy_cover(cycle)
 
     def test_one_index_at_a_time(self, monkeypatch):
-        """The bound's index is gone before the greedy's is built; only the
-        ids of the maximal edges, which the bound's build kept, reach it."""
+        """The bound's index is gone before the greedy's is built; only its
+        seed, taken before its first deletion, reaches it: the ids of the
+        maximal edges, their hashes and the witness pairs of its build."""
         built = []
         build = TraceIndex.__init__
 
-        def spy(index, h, strong=True, maximal=None):
+        def spy(index, h, strong=True, seed=None):
             assert all(ref() is None for ref, *_ in built)
-            build(index, h, strong, maximal)
-            built.append((weakref.ref(index), strong, maximal))
+            build(index, h, strong, seed)
+            built.append((weakref.ref(index), strong, seed, index._hash[:], index._wit[:]))
 
         monkeypatch.setattr(TraceIndex, "__init__", spy)
         greedy_cover(GAP12)
-        assert [(strong, maximal) for _, strong, maximal in built] == [(True, None), (True, list(maximal_edges(GAP12)))]
+        (_, strong, seed, hashes, pairs), (_, handed_strong, handed, _, _) = built
+        assert (strong, seed, handed_strong) == (True, None, True)
+        assert handed == (list(maximal_edges(GAP12)), hashes, pairs)
 
     @pytest.mark.parametrize(
         "h, largest_step, mighty, bound",

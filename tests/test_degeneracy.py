@@ -95,9 +95,9 @@ class TestFrozenValues:
         sizes = []
 
         class Recording(TraceIndex):
-            def __init__(self, h, strong=True, maximal=None):
+            def __init__(self, h, strong=True, seed=None):
                 sizes.append(h.n)
-                super().__init__(h, strong, maximal)
+                super().__init__(h, strong, seed)
 
         h = Hypergraph.from_edges(100000, [(1, 3), (3, 7)])
         with mock.patch.object(sys.modules["hypercover.degeneracy"], "TraceIndex", Recording):
@@ -248,9 +248,12 @@ BATCH_EXAMPLES = (gap_family(12), PATH6, TRIANGLE_WITH_LEAVES)
 
 
 def check_batched_strong_degeneracy(h):
-    value, maximal = _strong_degeneracy(h)
+    """The value is the one-vertex peel's, and the seed is a fresh strong
+    build's, as it stood before the batched peel's first deletion."""
+    value, seed = _strong_degeneracy(h)
     assert value == strong_degeneracy(h).value
-    assert tuple(maximal) == maximal_edges(h)
+    assert tuple(seed[0]) == maximal_edges(h)
+    assert seed == TraceIndex(h, strong=True).seed()
 
 
 class TestBatchedStrongDegeneracy:
@@ -319,6 +322,37 @@ def hub_pair_deletions():
 
 HUB_PAIR_IDS = ("k2-24-closed", "sunflower-kernel-2", "sunflower-kernel-3")
 KEYS = pytest.mark.parametrize("collide", (False, True), ids=("real-keys", "colliding-keys"))
+
+
+def seeded_parts(h):
+    """Disjoint vertex sets that leave one vertex: half the vertices one at
+    a time, in an order seeded by ``h.n``, then all but one of the rest."""
+    order = random.Random(h.n).sample(range(h.n), h.n)[:-1]
+    half = len(order) // 2
+    return [*({x} for x in order[:half]), set(order[half:])]
+
+
+def assert_witnesses_hold(index):
+    """Every recorded witness (a, b) of a kept trace t of a strong index
+    has a and b in t, and only t holds both: ``rows[a] & rows[b] == {t}``."""
+    rows = index._vertex_traces
+    for t, s in enumerate(index._members):
+        pair = index._wit[t]
+        if s is not None and pair is not None:
+            a, b = pair
+            assert a in s and b in s, (t, s, pair)
+            assert rows[a] & rows[b] == {t}, (t, s, pair)
+
+
+def check_witnesses(h):
+    """The witness rule holds after a fresh build and after a build from
+    the seed the bound's batched peel hands over, then after each of the
+    same single and batched deletions."""
+    _, seed = _strong_degeneracy(h)
+    for index in (TraceIndex(h, strong=True), TraceIndex(h, strong=True, seed=seed)):
+        for part in (set(), *seeded_parts(h)):
+            index.delete_vertex(*part)
+            assert_witnesses_hold(index)
 
 
 class TestTraceIndex:
@@ -421,20 +455,20 @@ class TestTraceIndex:
 
     @staticmethod
     def check_handed_over_build(h):
-        """A strong build from the ids of the maximal edges, read off a fresh
-        strong build, keeps the same traces and degrees, and both follow the
+        """A strong build from the seed of a fresh strong build keeps the
+        same traces, degrees, hashes and witness pairs, and both follow the
         same deletions alike: half the vertices one at a time, in a seeded
         order, then all but one of the rest at once."""
         fresh = TraceIndex(h, strong=True)
-        handed = TraceIndex(h, strong=True, maximal=fresh.trace_ids())
+        handed = TraceIndex(h, strong=True, seed=fresh.seed())
         assert handed.trace_ids() == fresh.trace_ids() == list(maximal_edges(h))
-        order = random.Random(h.n).sample(range(h.n), h.n)[:-1]
-        half = len(order) // 2
-        for part in (set(), *({x} for x in order[:half]), set(order[half:])):
+        assert (handed._hash, handed._wit) == (fresh._hash, fresh._wit)
+        for part in (set(), *seeded_parts(h)):
             fresh.delete_vertex(*part)
             handed.delete_vertex(*part)
             assert handed.traces() == fresh.traces()
             assert handed.deg == fresh.deg
+            assert handed._wit == fresh._wit
 
     @given(sparse_instances())
     @gap_family_examples
@@ -452,6 +486,17 @@ class TestTraceIndex:
     def test_a_build_from_handed_over_ids_matches_a_fresh_build_on_hub_pairs(self, h, collide):
         with colliding_keys() if collide else contextlib.nullcontext():
             self.check_handed_over_build(h)
+
+    @given(sparse_instances())
+    @gap_family_examples
+    def test_recorded_witnesses_hold(self, h):
+        check_witnesses(h)
+
+    @given(sparse_instances())
+    @gap_family_examples
+    def test_recorded_witnesses_hold_when_every_hash_collides(self, h):
+        with colliding_keys():
+            check_witnesses(h)
 
     @given(hypergraphs(), st.data())
     def test_degrees_track_restrictions(self, h, data):

@@ -19,7 +19,7 @@ import textwrap
 
 from hypercover import Graph, gap_family, parse_hypergraph, tree_domination
 from hypercover._trace_index import TraceIndex
-from hypercover.degeneracy import _best_restriction, _strong_core, _strong_degeneracy
+from hypercover.degeneracy import _best_restriction, _peel, _strong_core, _strong_degeneracy
 from hypercover.oracles import _search
 
 from conftest import check_outcome, sparse_corpus
@@ -83,7 +83,7 @@ def test_batched_peel_that_stops_after_one_round(monkeypatch):
     check = test_degeneracy.check_batched_strong_degeneracy
     cases = [(h,) for h in (*test_degeneracy.BATCH_EXAMPLES, *sparse_corpus())]
     assert not caught(check, cases)
-    install(monkeypatch, _strong_degeneracy, mutant(_strong_degeneracy, "index.delete_vertex(*gone)", "break"))
+    install(monkeypatch, _strong_degeneracy, mutant(_strong_degeneracy, "index._delete(gone)", "break"))
     assert caught(check, cases)
 
 
@@ -128,11 +128,21 @@ def test_deletion_that_skips_merging_two_shrunken_traces(monkeypatch):
     assert caught(check, cases)
 
 
+def test_strong_deletion_that_skips_merging_two_shrunken_traces(monkeypatch):
+    # A strong deletion files its shrunk traces by the rule written out in
+    # _settle, not through _merges.
+    check = test_degeneracy.TestTraceIndex().check_records
+    cases = list(deletion_sets())
+    assert not caught(check, cases)
+    monkeypatch.setattr(TraceIndex, "_settle", mutant(TraceIndex._settle, "if s in [members[v] for v in same]:", "if False:"))
+    assert caught(check, cases)
+
+
 def test_strong_deletion_that_merges_on_a_hash_hit_without_comparing_sets(monkeypatch):
     check = collided(test_degeneracy.TestTraceIndex().check_records)
     cases = list(deletion_sets())
     assert not caught(check, cases)
-    monkeypatch.setattr(TraceIndex, "_merges", mutant(TraceIndex._merges, "if s in [members[w] for w in same if w != t]:", "if same:"))
+    monkeypatch.setattr(TraceIndex, "_settle", mutant(TraceIndex._settle, "if s in [members[v] for v in same]:", "if same:"))
     assert caught(check, cases)
 
 
@@ -172,8 +182,7 @@ def test_plain_deletion_that_forgets_the_traces_filed_before_it(monkeypatch):
     check = test_degeneracy.TestTraceIndex().check_records
     cases = list(deletion_sets())
     assert not caught(check, cases)
-    wrong = mutant(TraceIndex.delete_vertex, "({}, {}) if self.strong else self._filed", "({}, {})")
-    monkeypatch.setattr(TraceIndex, "delete_vertex", wrong)
+    monkeypatch.setattr(TraceIndex, "_settle", mutant(TraceIndex._settle, "filed = self._filed", "filed = ({}, {})"))
     assert caught(check, cases)
 
 
@@ -206,19 +215,56 @@ def peel_mutant_is_caught(monkeypatch, old: str, new: str) -> None:
 
 
 def test_strong_peel_that_skips_the_recheck(monkeypatch):
-    peel_mutant_is_caught(monkeypatch, "dominated(t, s) if strong", "False if strong")
+    peel_mutant_is_caught(monkeypatch, "and dominated(t, s):", "and False:")
+
+
+def test_strong_peel_that_reads_only_the_first_member_of_a_witness(monkeypatch):
+    # A deletion of the pair's second member leaves the trace unchecked.
+    peel_mutant_is_caught(monkeypatch, "or x in w)", "or x == w[0])")
 
 
 def test_plain_peel_that_files_nothing(monkeypatch):
     # A trace that loses x may equal one that missed x, filed before.
-    peel_mutant_is_caught(monkeypatch, "else merges(t, s, filed)", "else False")
+    peel_mutant_is_caught(monkeypatch, "if merges(t, s, filed):", "if False:")
+
+
+def witness_mutant_is_caught(monkeypatch, method: str, old: str, new: str) -> None:
+    check = test_degeneracy.check_witnesses
+    cases = [(h,) for h in (*(gap_family(n) for n in range(3, 9)), *sparse_corpus())]
+    assert not caught(check, cases)
+    monkeypatch.setattr(TraceIndex, method, mutant(getattr(TraceIndex, method), old, new))
+    assert caught(check, cases)
+
+
+def test_strong_deletion_that_trusts_a_witness_with_one_member_left(monkeypatch):
+    witness_mutant_is_caught(monkeypatch, "_settle", "alive[w[0]] and alive[w[1]]", "alive[w[0]] or alive[w[1]]")
+
+
+def test_strong_recheck_that_records_a_witness_another_trace_shares(monkeypatch):
+    witness_mutant_is_caught(monkeypatch, "_dominated", "(a, b) if len(row) == 1 else None", "(a, b)")
+
+
+def test_seed_whose_pairs_are_not_copied(monkeypatch):
+    # The bound's batched peel records pairs that hold only in its smaller
+    # rows; shared, they reach the greedy's build.
+    witness_mutant_is_caught(monkeypatch, "seed", "self._wit[:]", "self._wit")
+
+
+def test_greedy_that_stops_one_deletion_early(monkeypatch):
+    # It skips the deletion that leaves one vertex, and so the step that
+    # takes it.
+    check = test_cover.check_greedy_steps
+    cases = [(h,) for h in (*test_cover.GREEDY_EXAMPLES, *corpus_without_isolated_vertices())]
+    assert not caught(check, cases)
+    install(monkeypatch, _peel, mutant(_peel, "if len(gone) == live:", "if len(gone) >= live - 1:"))
+    assert caught(check, cases)
 
 
 def test_build_that_keeps_every_edge_despite_the_handed_over_ids(monkeypatch):
     check = test_degeneracy.TestTraceIndex.check_handed_over_build
     cases = [(h,) for h in (*(gap_family(n) for n in range(3, 9)), *sparse_corpus())]
     assert not caught(check, cases)
-    wrong = mutant(TraceIndex.__init__, "kept = range(h.m) if maximal is None else maximal", "kept = range(h.m)")
+    wrong = mutant(TraceIndex.__init__, "kept = range(h.m) if seed is None else seed[0]", "kept = range(h.m)")
     monkeypatch.setattr(TraceIndex, "__init__", wrong)
     assert caught(check, cases)
 

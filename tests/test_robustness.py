@@ -450,6 +450,17 @@ def test_the_strong_peel_of_a_160000_petal_sunflower_is_linear():
     check_strong_peel_within_2_s(kernel_pair_sunflower(160000))
 
 
+@pytest.mark.parametrize("solve", [greedy_cover, greedy_transversal])
+def test_the_greedy_of_a_160000_petal_sunflower_is_linear(solve):
+    # The cover takes about 1 s of CPU time at 80,000 petals and the
+    # transversal, whose dual merges the kernel's two rows, about 0.5 s;
+    # both grow about 2.1x per doubling (CPython 3.11, 2-core VM).  A re-check
+    # that scanned the kernel's long rows at every petal would be quadratic.
+    h = kernel_pair_sunflower(160000)
+    with cpu_budget(6):
+        solve(h)
+
+
 def test_tree_domination_of_a_large_random_tree_is_fast():
     # Re-testing strong degree 1 by counters costs O(n), about 0.6 s of CPU
     # time for both kinds on this tree (CPython 3.11, 2-core VM): the bound
